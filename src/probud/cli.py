@@ -2,7 +2,8 @@
 
 Subcommands: solve, check, enumerate, certify, verify-implications, gen.
 Exit codes: 0 success/satisfied, 1 violation found (check), 2 usage or
-input error, 3 size-cap exceeded.  ``--json`` switches the output to a
+input error (and any unexpected failure, reported as one ``error:`` line),
+3 size-cap exceeded.  ``--json`` switches the output to a
 single machine-readable record; the exact key sets are documented in the
 README.
 """
@@ -16,9 +17,9 @@ from pathlib import Path
 
 from . import axioms, harness, oracle, rules
 from .errors import ProbudError, TooLargeForExact
-from .model import AxiomId, Budget, is_exhaustive, is_feasible
+from .model import ALL_AXIOMS, AxiomId, Budget, is_exhaustive, is_feasible
 
-_AXIOM_CHOICES = tuple(f"{f}-{v}" for f in ("strong-bjr", "bjr", "strong-bpjr", "bpjr", "local-bpjr") for v in ("l", "w"))
+_AXIOM_CHOICES = tuple(str(axiom) for axiom in ALL_AXIOMS)
 
 
 def main(argv=None) -> int:
@@ -34,6 +35,10 @@ def main(argv=None) -> int:
         return 3
     except (ProbudError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # last resort: exit 1 must only mean "violation found"
+        message = " ".join(str(exc).split())
+        print(f"error: unexpected {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
 

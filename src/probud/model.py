@@ -11,6 +11,7 @@ threads; the module-level operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -44,12 +45,12 @@ class Instance:
         if len(self.names) != len(self.cost):
             raise InvalidCost("names and costs differ in length")
         for name, c in zip(self.names, self.cost):
-            if not c > 0:
-                raise InvalidCost(f"item {name!r} has non-positive cost {c}")
+            _check_cost(name, c)
         if abs(min(self.cost) - 1.0) > TOL:
             raise InvalidCost("costs are not normalized: the cheapest item must cost 1")
-        if self.limit < 0:
-            raise InvalidLimit(f"limit must be non-negative, got {self.limit}")
+        if not math.isfinite(sum(self.cost)):
+            raise InvalidCost("the total cost of all items overflows to infinity")
+        _check_limit(self.limit)
 
     @property
     def num_items(self) -> int:
@@ -151,14 +152,27 @@ def normalize(raw_costs, raw_limit: float) -> Instance:
     if not pairs:
         raise InvalidCost("an instance needs at least one item")
     for name, c in pairs:
-        if not c > 0:
-            raise InvalidCost(f"item {name!r} has non-positive cost {c}")
-    if raw_limit < 0:
-        raise InvalidLimit(f"limit must be non-negative, got {raw_limit}")
+        _check_cost(name, c)
+    _check_limit(raw_limit)
     scale = min(c for _, c in pairs)
     names = tuple(name for name, _ in pairs)
     cost = tuple(c / scale for _, c in pairs)
+    # Instance rejects a cost or limit that the division overflows to inf
     return Instance(names, cost, raw_limit / scale)
+
+
+def _check_cost(name: str, c: float) -> None:
+    if not math.isfinite(c):
+        raise InvalidCost(f"item {name!r} has non-finite cost {c}")
+    if not c > 0:
+        raise InvalidCost(f"item {name!r} has non-positive cost {c}")
+
+
+def _check_limit(limit: float) -> None:
+    if not math.isfinite(limit):
+        raise InvalidLimit(f"limit must be finite, got {limit}")
+    if limit < 0:
+        raise InvalidLimit(f"limit must be non-negative, got {limit}")
 
 
 def is_feasible(inst: Instance, budget: Budget) -> bool:
@@ -188,7 +202,8 @@ def _require_budget(inst: Instance, budget: Budget) -> None:
 
 
 def _require_profile(inst: Instance, profile: Profile) -> None:
+    m = inst.num_items
     for voter, ballot in enumerate(profile.ballots):
         for i in ballot:
-            if not 0 <= i < inst.num_items:
+            if not 0 <= i < m:
                 raise InvalidProfile(f"voter {voter} approves unknown item index {i}")

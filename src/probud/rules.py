@@ -5,8 +5,12 @@ The sequential rule repeatedly adds the affordable approved item whose
 inclusion allows the smallest possible maximum per-voter cost load, where
 the cost of every selected item is spread over its approvers and already
 assigned loads may be redistributed.  The spread kernel
-(:func:`min_max_load`) runs a binary search on the load cap with a
-max-flow feasibility test.
+(:func:`min_max_load`) finds that optimum exactly by Dinkelbach iteration
+on a max-flow network over ballot types (voters whose ballots agree on
+the selected items share one node): each flow either carries every cost
+at the current load cap or yields, from its min cut, an item set whose
+cost-per-approver ratio is the next cap.  It usually needs one flow.  The
+last set found is returned as the certificate ``tight``.
 
 All rules are deterministic: ties among items are broken by an explicit
 policy (index order by default), and exhaustive fills always proceed
@@ -31,10 +35,6 @@ TIE_POLICIES = ("lex", "cheapest", "most-approved")
 #: bundles; memory grows as 2**m, so desk scale in practice is m <~ 20).
 MAX_CONSTRUCT_ITEMS = 25
 
-_FEASIBILITY_SLACK = 1e-11
-_CAP_RESOLUTION = 1e-12
-_MAX_BISECT_STEPS = 60
-
 
 @dataclass(frozen=True)
 class LoadAssignment:
@@ -42,12 +42,17 @@ class LoadAssignment:
 
     ``spread`` maps ``(item, voter)`` to the share of the item's cost the
     voter carries (zero entries omitted); ``voter_load[i]`` is voter i's
-    total share and ``max_load`` the largest of them.
+    total share and ``max_load`` the optimal maximum load (a voter's load
+    may exceed it by float rounding only).  ``tight`` is
+    the certificate: an item set S with cost(S) / |N(S)| = ``max_load``,
+    where N(S) is the set of voters approving some item of S, so no
+    spread can do better.  It is empty for an empty selection.
     """
 
     spread: Mapping[tuple[int, int], float]
     voter_load: tuple[float, ...]
     max_load: float
+    tight: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,12 @@ class RuleTrace:
 
 
 class _Dinic:
-    """Max flow on a tiny graph with float capacities."""
+    """Max flow on a tiny graph with float capacities.
+
+    After :meth:`max_flow`, ``level[v] >= 0`` exactly for the nodes
+    reachable from the source in the residual graph: the source side of
+    a minimum cut.
+    """
 
     EPS = 1e-13
 
@@ -86,6 +96,7 @@ class _Dinic:
         self.to: list[int] = []
         self.cap: list[float] = []
         self.head: list[list[int]] = [[] for _ in range(num_nodes)]
+        self.level: list[int] = []
 
     def add_edge(self, u: int, v: int, capacity: float) -> int:
         idx = len(self.to)
@@ -109,6 +120,7 @@ class _Dinic:
                     if self.cap[e] > self.EPS and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
+            self.level = level
             if level[sink] < 0:
                 return flow
             it = [0] * self.num_nodes
@@ -139,11 +151,18 @@ def min_max_load(inst: Instance, profile: Profile, selected: Iterable[int]) -> L
     """Spread the selected items' costs over their approvers so that the
     maximum per-voter load is minimal.
 
-    Binary search on the load cap: a cap is feasible iff a flow from a
-    source through items (capacity = item cost) and approval edges into
-    voters (capacity = cap) saturates all items.  The search runs at most
-    60 steps or until the bracket is below 1e-12, so the returned
-    ``max_load`` is within 1e-9 of the optimum.
+    The optimum is the Hall ratio: the largest cost(S) / |N(S)| over item
+    sets S, where N(S) is the set of voters approving some item of S.
+    Voters whose ballots agree on the selected items form one ballot
+    type; the network runs from a source through items (capacity = item
+    cost) and approval edges into types (capacity = type size times the
+    load cap λ).  Dinkelbach iteration starts λ at the larger of the
+    whole selection's and the best single item's ratio; each max-flow
+    either carries every cost, so λ is optimal, or its min-cut source
+    side is a set S of strictly larger ratio, which becomes the next λ.
+    ``max_load`` is therefore an exact ratio cost(S)/|N(S)|, and S is
+    returned as ``tight``.  The spread comes from the last flow, each
+    type's share split equally among its voters.
     """
     _require_profile(inst, profile)
     items = sorted(set(selected))
@@ -151,66 +170,73 @@ def min_max_load(inst: Instance, profile: Profile, selected: Iterable[int]) -> L
         if not 0 <= c < inst.num_items:
             raise InvalidBudget(f"item index {c} out of range")
     n = profile.num_voters
-    approvers = {c: [i for i, b in enumerate(profile.ballots) if c in b] for c in items}
+    chosen = frozenset(items)
+    # ballot types: voters grouped by their ballot restricted to the selection
+    types: dict[frozenset[int], list[int]] = {}
+    for i, ballot in enumerate(profile.ballots):
+        key = ballot & chosen
+        if key:
+            types.setdefault(key, []).append(i)
+    members = list(types.values())
+    approver_types = {c: [t for t, key in enumerate(types) if c in key] for c in items}
     for c in items:
-        if not approvers[c]:
+        if not approver_types[c]:
             raise NoApprover(f"item {inst.names[c]!r} has no approving voter")
     if not items:
-        return LoadAssignment({}, (0.0,) * n, 0.0)
+        return LoadAssignment({}, (0.0,) * n, 0.0, frozenset())
+
+    size = [len(group) for group in members]
+
+    def ratio(subset: frozenset[int]) -> float:
+        reached_types = {t for c in subset for t in approver_types[c]}
+        return inst.weight(subset) / sum(size[t] for t in reached_types)
 
     total = inst.weight(items)
-    carriers = sorted({i for group in approvers.values() for i in group})
-    low = max(
-        total / len(carriers),
-        max(inst.cost[c] / len(approvers[c]) for c in items),
-    )
+    best, tight = total / sum(size), chosen
+    for single in (frozenset((c,)) for c in items):
+        value = ratio(single)
+        if value > best:
+            best, tight = value, single
 
-    # Greedy whole-item placement gives a feasible upper bound.
-    loads = [0.0] * n
-    for c in sorted(items, key=lambda c: (-inst.cost[c], c)):
-        v = min(approvers[c], key=lambda i: (loads[i], i))
-        loads[v] += inst.cost[c]
-    high = max(loads)
-    low = min(low, high)
-
-    def build(cap: float) -> tuple[_Dinic, dict[tuple[int, int], int]]:
-        # node layout: 0 source, 1..k items, k+1..k+len(carriers) voters, last sink
-        k = len(items)
-        voter_node = {v: 1 + k + j for j, v in enumerate(carriers)}
-        sink = 1 + k + len(carriers)
+    # node layout: 0 source, 1..k items, k+1..k+len(members) types, last sink
+    k = len(items)
+    sink = 1 + k + len(members)
+    cap = best
+    bump = 0.0
+    while True:
         net = _Dinic(sink + 1)
         edge_ids: dict[tuple[int, int], int] = {}
         for pos, c in enumerate(items):
             net.add_edge(0, 1 + pos, inst.cost[c])
-            for v in approvers[c]:
-                edge_ids[(c, v)] = net.add_edge(1 + pos, voter_node[v], total)
-        for v in carriers:
-            net.add_edge(voter_node[v], sink, cap)
-        return net, edge_ids
-
-    def feasible(cap: float) -> bool:
-        net, _ = build(cap)
-        return net.max_flow(0, net.num_nodes - 1) >= total - _FEASIBILITY_SLACK
-
-    for _ in range(_MAX_BISECT_STEPS):
-        if high - low <= _CAP_RESOLUTION:
+            for t in approver_types[c]:
+                edge_ids[(c, t)] = net.add_edge(1 + pos, 1 + k + t, math.inf)
+        for t in range(len(members)):
+            net.add_edge(1 + k + t, sink, size[t] * cap)
+        net.max_flow(0, sink)
+        # the min-cut source side holds an item exactly when the flow leaves
+        # more than the flow tolerance of some item's cost uncarried
+        reached = frozenset(c for pos, c in enumerate(items) if net.level[1 + pos] >= 0)
+        if not reached:
             break
-        mid = (low + high) / 2.0
-        if feasible(mid):
-            high = mid
+        improved = ratio(reached)
+        if improved > best:
+            best, tight, cap = improved, reached, max(cap, improved)
         else:
-            low = mid
+            # Float noise: some cost is uncarried, yet the cut gives no set
+            # of larger ratio.  Raise the cap in doubling steps until the
+            # flow carries every cost; ``best`` keeps the largest ratio found.
+            bump = 2.0 * bump if bump else cap * 2.0**-50
+            cap += bump
 
-    net, edge_ids = build(high)
-    net.max_flow(0, net.num_nodes - 1)
     spread: dict[tuple[int, int], float] = {}
     voter_load = [0.0] * n
-    for (c, v), e in edge_ids.items():
-        share = total - net.cap[e]
+    for (c, t), e in edge_ids.items():
+        share = net.cap[e ^ 1] / size[t]
         if share > 1e-15:
-            spread[(c, v)] = share
-            voter_load[v] += share
-    return LoadAssignment(spread, tuple(voter_load), max(voter_load))
+            for v in members[t]:
+                spread[(c, v)] = share
+                voter_load[v] += share
+    return LoadAssignment(spread, tuple(voter_load), best, tight)
 
 
 def _tie_key(policy: str, inst: Instance, approval_count: Sequence[int]):

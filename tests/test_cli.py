@@ -1,6 +1,8 @@
 import json
 
-from probud import axioms, harness, rules
+import pytest
+
+from probud import axioms, cli, harness, rules
 from probud.cli import main
 from probud.model import Budget
 
@@ -162,3 +164,27 @@ def test_solve_other_rules(capsys):
     code, out = run(capsys, "solve", "--rule", "bpjr-construct", EX1, "--json")
     assert code == 0
     assert json.loads(out)["budget"] == ["c1", "c3"]
+
+
+@pytest.mark.parametrize("rule", ["greedy-bjr", "gpseq"])
+def test_nan_limit_exits_two_with_one_line_error(tmp_path, capsys, rule):
+    text = (FIXTURES / "ex2.pb").read_text().replace("limit = 3", "limit = nan")
+    path = tmp_path / "nan.pb"
+    path.write_text(text)
+    code = main(["solve", "--rule", rule, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "limit" in captured.err
+
+
+def test_unexpected_exception_exits_two_with_one_line_error(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("math domain error\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_solve", broken)
+    code = main(["solve", "--rule", "gpseq", EX2])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: unexpected ValueError: math domain error second line\n"

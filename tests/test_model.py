@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -49,6 +50,38 @@ def test_normalize_rejects_nonpositive_cost():
 def test_normalize_rejects_negative_limit():
     with pytest.raises(InvalidLimit):
         normalize({"a": 1.0}, -0.5)
+
+
+@pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf])
+def test_normalize_rejects_non_finite_limit(limit):
+    with pytest.raises(InvalidLimit):
+        normalize({"a": 1.0, "b": 2.0}, limit)
+
+
+@pytest.mark.parametrize("cost", [math.nan, math.inf])
+def test_normalize_rejects_non_finite_cost(cost):
+    with pytest.raises(InvalidCost):
+        normalize({"a": 1.0, "b": cost}, 3.0)
+
+
+def test_normalize_rejects_overflow():
+    # dividing by a tiny cheapest cost pushes the limit or a cost to inf
+    with pytest.raises(InvalidLimit):
+        normalize({"a": 1e-300, "b": 1.0, "c": 2.0}, 1e300)
+    with pytest.raises(InvalidCost):
+        normalize({"a": 1e-300, "b": 1e10}, 1.0)
+
+
+def test_instance_rejects_non_finite_numbers():
+    for limit in (math.nan, math.inf):
+        with pytest.raises(InvalidLimit):
+            Instance(("a",), (1.0,), limit)
+    with pytest.raises(InvalidCost):
+        Instance(("a", "b"), (1.0, math.inf), 1.0)
+    with pytest.raises(InvalidCost):
+        Instance(("a", "b"), (1.0, math.nan), 1.0)
+    with pytest.raises(InvalidCost):
+        Instance(("a", "b", "c"), (1.0, 1e308, 1e308), 1.0)  # total overflows
 
 
 def test_instance_requires_normalized_costs():

@@ -4,7 +4,8 @@ import pytest
 
 from probud.axioms import check_bjr_poly, check_bpjr, check_local_bpjr
 from probud.errors import InvalidProfile, NoApprover
-from probud.model import AxiomId, Instance, Profile, is_exhaustive, is_feasible, normalize
+from probud.harness import GenSpec, generate, generate_file
+from probud.model import TOL, AxiomId, Instance, Profile, is_exhaustive, is_feasible, normalize
 from probud.rules import bpjr_construct, gpseq, greedy_bjr_l, min_max_load
 
 from oracles import load_cut_bound, load_lp
@@ -49,6 +50,7 @@ def test_min_max_load_empty_selection(ex2):
     assignment = min_max_load(inst, profile, [])
     assert assignment.max_load == 0.0
     assert assignment.spread == {}
+    assert assignment.tight == frozenset()
 
 
 def test_min_max_load_spread_invariants():
@@ -74,21 +76,93 @@ def test_min_max_load_spread_invariants():
         assert assignment.max_load == pytest.approx(max(assignment.voter_load), abs=1e-9)
 
 
+def _hall_ratio(inst, profile, items):
+    helpers = {i for i, ballot in enumerate(profile.ballots) if ballot & set(items)}
+    return inst.weight(items) / len(helpers)
+
+
+def _approved_sample(inst, profile, rng):
+    approved = [
+        c
+        for c in range(inst.num_items)
+        if any(c in ballot for ballot in profile.ballots)
+    ]
+    return rng.sample(approved, rng.randint(1, len(approved))) if approved else []
+
+
+def _check_kernel_against_oracles(inst, profile, selected):
+    assignment = min_max_load(inst, profile, selected)
+    got = assignment.max_load
+    assert got == pytest.approx(load_cut_bound(inst, profile, selected), abs=1e-6)
+    assert got == pytest.approx(load_lp(inst, profile, selected), abs=1e-6)
+    # the tight set certifies the optimum: its Hall ratio is the load
+    assert assignment.tight and assignment.tight <= set(selected)
+    assert _hall_ratio(inst, profile, assignment.tight) == pytest.approx(got, abs=TOL)
+    return assignment
+
+
 def test_min_max_load_matches_cut_bound_and_lp():
     rng = random.Random(21)
     for seed in range(30):
         inst, profile = suite_instance(seed, max_voters=4, max_items=4)
-        approved = [
-            c
-            for c in range(inst.num_items)
-            if any(c in ballot for ballot in profile.ballots)
-        ]
-        if not approved:
-            continue
-        selected = rng.sample(approved, rng.randint(1, len(approved)))
-        got = min_max_load(inst, profile, selected).max_load
-        assert got == pytest.approx(load_cut_bound(inst, profile, selected), abs=1e-6)
-        assert got == pytest.approx(load_lp(inst, profile, selected), abs=1e-6)
+        selected = _approved_sample(inst, profile, rng)
+        if selected:
+            _check_kernel_against_oracles(inst, profile, selected)
+
+
+def _group_instances(count):
+    """Bloc-ballot instances up to m=8, n=12: many voters share a ballot."""
+    rng = random.Random(55)
+    for seed in range(count):
+        spec = GenSpec(
+            num_items=rng.randint(3, 8),
+            num_voters=rng.randint(4, 12),
+            cost_model=rng.choice(("unit", "uniform", "heavy-tail")),
+            cost_high=rng.uniform(1.5, 5.0),
+            ballot_model="groups",
+            group_count=rng.randint(1, 3),
+            group_overlap=rng.uniform(0.0, 0.3),
+            limit_fraction=0.6,
+            seed=seed,
+        )
+        yield generate(spec)
+
+
+def test_min_max_load_on_duplicate_ballots_matches_cut_bound_and_lp():
+    rng = random.Random(34)
+    merged = 0
+    for inst, profile in _group_instances(40):
+        selected = _approved_sample(inst, profile, rng)
+        restricted = [ballot & set(selected) for ballot in profile.ballots]
+        merged += len({b for b in restricted if b}) < sum(1 for b in restricted if b)
+        assignment = _check_kernel_against_oracles(inst, profile, selected)
+        assert assignment.max_load == pytest.approx(max(assignment.voter_load), abs=1e-9)
+        for c in selected:
+            carried = sum(share for (item, _), share in assignment.spread.items() if item == c)
+            assert carried == pytest.approx(inst.cost[c], abs=1e-9)
+    assert merged >= 30  # the cases really exercise shared ballot types
+
+
+def test_min_max_load_finishes_and_carries_every_cost_on_wide_cost_ranges():
+    # Costs of 1 next to 1e6 or 1e8 make flows end a rounding error short
+    # of some cost, often with no set of larger ratio to move to; the
+    # kernel must still finish, carry every cost and stay optimal.
+    rng = random.Random(61)
+    for _ in range(200):
+        m = rng.randint(3, 8)
+        dear = rng.choice((1e6, 1e8))
+        cost = (1.0,) + tuple(rng.choice((1.0, rng.uniform(dear / 2, dear * 2))) for _ in range(m - 1))
+        inst = Instance(tuple(f"c{j}" for j in range(m)), cost, sum(cost))
+        blocs = [frozenset(c for c in range(m) if rng.random() < 0.5) for _ in range(3)]
+        profile = Profile(tuple(rng.choice(blocs) | {rng.randrange(m)} for _ in range(rng.randint(3, 12))))
+        selected = _approved_sample(inst, profile, rng)
+        assignment = min_max_load(inst, profile, selected)
+        assert assignment.max_load == pytest.approx(load_cut_bound(inst, profile, selected), rel=1e-12)
+        assert _hall_ratio(inst, profile, assignment.tight) == pytest.approx(assignment.max_load, rel=1e-12)
+        assert max(assignment.voter_load) == pytest.approx(assignment.max_load, rel=1e-12)
+        for c in selected:
+            carried = sum(share for (item, _), share in assignment.spread.items() if item == c)
+            assert carried == pytest.approx(inst.cost[c], rel=1e-12)
 
 
 # ------------------------------------------------------- sequential rule
@@ -196,6 +270,60 @@ def test_gpseq_guarantee_is_integer_level_not_real_level():
     assert pjr_satisfied_integer(profile.ballots, budget.selected, 2)
     assert not pjr_satisfied(profile.ballots, budget.selected, 2)
     assert check_local_bpjr(inst, profile, budget, "l").satisfied
+
+
+def _raw_instances(count):
+    rng = random.Random(73)
+    for seed in range(count):
+        spec = GenSpec(
+            num_items=rng.randint(3, 9),
+            num_voters=rng.randint(2, 14),
+            cost_model=rng.choice(("unit", "uniform", "heavy-tail")),
+            cost_low=rng.uniform(0.5, 3.0),
+            cost_high=rng.uniform(3.5, 12.0),
+            ballot_model=rng.choice(("impartial", "groups")),
+            approval_prob=rng.uniform(0.2, 0.7),
+            group_count=rng.randint(1, 3),
+            limit_fraction=rng.uniform(0.3, 0.8),
+            seed=seed,
+        )
+        yield generate_file(spec)
+
+
+def _assert_same_run(first, second):
+    (budget_a, trace_a), (budget_b, trace_b) = first, second
+    assert budget_a.selected == budget_b.selected
+    assert budget_a.total_cost == pytest.approx(budget_b.total_cost, abs=TOL)
+    assert [s.chosen for s in trace_a.steps] == [s.chosen for s in trace_b.steps]
+    assert [s.tie_set for s in trace_a.steps] == [s.tie_set for s in trace_b.steps]
+    for step_a, step_b in zip(trace_a.steps, trace_b.steps):
+        assert step_a.loads.keys() == step_b.loads.keys()
+        for c in step_a.loads:
+            assert step_a.loads[c] == pytest.approx(step_b.loads[c], abs=TOL)
+    assert trace_a.final_assignment.max_load == pytest.approx(
+        trace_b.final_assignment.max_load, abs=TOL
+    )
+
+
+def test_gpseq_invariant_under_currency_rescaling():
+    for f in _raw_instances(40):
+        inst, profile = f.to_model()
+        scaled = normalize(
+            [(name, 7.3 * c) for name, c in zip(f.item_names, f.raw_costs)], 7.3 * f.raw_limit
+        )
+        for tie in ("lex", "cheapest", "most-approved"):
+            _assert_same_run(gpseq(inst, profile, tie=tie), gpseq(scaled, profile, tie=tie))
+
+
+def test_gpseq_invariant_under_voter_permutation():
+    rng = random.Random(91)
+    for f in _raw_instances(40):
+        inst, profile = f.to_model()
+        ballots = list(profile.ballots)
+        rng.shuffle(ballots)
+        shuffled = Profile(tuple(ballots))
+        for tie in ("lex", "cheapest", "most-approved"):
+            _assert_same_run(gpseq(inst, profile, tie=tie), gpseq(inst, shuffled, tie=tie))
 
 
 # ------------------------------------------------------------ greedy rule
