@@ -21,25 +21,19 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class MaskWeights:
-    """Total cost of item subsets encoded as bitmasks.
+class MaskWeights(dict):
+    """Total cost of item subsets encoded as bitmasks, looked up as
+    ``weights[mask]``.
 
-    Precomputes a full table when the universe is small enough; otherwise
-    sums the set bits on every call.
+    Each mask's sum is taken over its set bits in ascending order on first
+    use and memoized, so the table grows with the masks actually asked
+    for rather than with 2^m.
     """
 
-    def __init__(self, costs: Sequence[float], table_bits: int = 16):
+    def __init__(self, costs: Sequence[float]):
+        super().__init__()
         self._costs = tuple(costs)
-        self._table: list[float] | None = None
-        m = len(self._costs)
-        if m <= table_bits:
-            table = [0.0] * (1 << m)
-            for mask in range(1, 1 << m):
-                low = mask & -mask
-                table[mask] = table[mask ^ low] + self._costs[low.bit_length() - 1]
-            self._table = table
 
-    def __call__(self, mask: int) -> float:
-        if self._table is not None:
-            return self._table[mask]
-        return sum(self._costs[i] for i in bits(mask))
+    def __missing__(self, mask: int) -> float:
+        weight = self[mask] = sum(self._costs[i] for i in bits(mask))
+        return weight

@@ -8,6 +8,30 @@ checked by an exact sweep over all cohesive voter groups, which is
 exponential and therefore gated by hard size caps (``MAX_EXACT_VOTERS``
 voters, ``MAX_EXACT_BUNDLE_ITEMS`` items per common-item set).
 
+The sweep reads a group table that depends on the instance and profile
+only, never on the budget.  It is built once per public call and holds
+memoized subset weights, one knapsack cache, and the cohesive groups
+collapsed to one entry per distinct (common items, union, size), each
+keeping the lexicographically first voter tuple of that size.  All
+groups of one entry have the same level, representation and deficit, so
+no verdict or witness changes, and memory is bounded by the number of
+distinct entries, not of groups.  A single check builds the table for
+its one budget; ``certify_existence``, ``verify_implications`` and
+``replay_witnesses`` in :mod:`probud.oracle` build it once and reuse it,
+weights and knapsack results included, for every budget they check.
+Verdict-only callers (those and :func:`evaluate_axioms`) read just the
+largest size of each (common items, union) class, since every violation
+test is monotone in group size, and stop at the first violation.
+
+Errors: a budget that is infeasible, names an unknown item or carries a
+``total_cost`` other than its items' cost raises ``InvalidBudget``.
+``TooLargeForExact`` is raised for more than ``MAX_EXACT_VOTERS`` voters,
+and when a group whose bundles the check must maximize has more than
+``MAX_EXACT_BUNDLE_ITEMS`` common items: for BPJR a group reaching level
+1, for Local-BPJR any group.  This holds whether or not another group
+already violates the axiom; with a zero denominator nothing is owed and
+nothing is raised.
+
 Entitlement conventions, shared by every checker:
 
 * the level ``ell`` ranges over the real interval from 1 up to the
@@ -27,6 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from ._bits import MaskWeights, bits, mask_of
@@ -39,7 +64,6 @@ from .model import (
     Budget,
     Instance,
     Profile,
-    _require_budget,
     _require_profile,
     is_feasible,
 )
@@ -138,101 +162,230 @@ def _max_bundle_over(values: Sequence[float], positions: Sequence[int], cap: flo
     return best_weight, best_mask
 
 
-def _cohesive_groups(masks: Sequence[int]) -> Iterator[tuple[list[int], int, int]]:
-    """All voter subsets whose ballots share at least one item.
+def _cohesive_groups(masks: Sequence[int]) -> list[tuple[tuple[int, ...], int, int]]:
+    """The voter subsets whose ballots share at least one item, collapsed
+    to one ``(voters, common_mask, union_mask)`` entry per distinct
+    (common mask, union mask, size).
 
-    Yields ``(voters, intersection_mask, union_mask)``.  The ``voters``
-    list is reused between yields; copy it before storing.  Subtrees
-    rooted at an empty intersection are pruned, which is exact because
-    adding voters only shrinks the intersection.
+    Subsets are visited in lexicographic preorder from an explicit stack,
+    so each entry keeps the lexicographically first voter tuple of its
+    key and the entries come out in that order.  Two kinds of subtree
+    are pruned, both exactly: one rooted at an empty intersection (adding
+    voters only shrinks it), and one rooted at a subset ``S`` whose key an
+    earlier subset ``T`` already had.  For any voters ``R`` added to ``S``,
+    the set ``T | (R - T)`` plus ``|R & T|`` voters of ``S - T`` has the
+    key of ``S | R`` and comes earlier, so no key's first subset lies in
+    a pruned subtree.
     """
     n = len(masks)
-    chosen: list[int] = []
-
-    def extend(start: int, inter: int, union: int):
-        for j in range(start, n):
-            inter2 = inter & masks[j]
-            if not inter2:
-                continue
-            chosen.append(j)
-            union2 = union | masks[j]
-            yield chosen, inter2, union2
-            yield from extend(j + 1, inter2, union2)
-            chosen.pop()
-
-    yield from extend(0, -1, 0)
+    later = [[(k, masks[k]) for k in range(n - 1, j, -1)] for j in range(n)]
+    first: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    stack = [((j,), masks[j], masks[j]) for j in range(n - 1, -1, -1) if masks[j]]
+    while stack:
+        voters, common, union = stack.pop()
+        key = (common, union, len(voters))
+        if key in first:
+            continue
+        first[key] = voters
+        for k, mask in later[voters[-1]]:  # pushed last to first, so popped in order
+            shared = common & mask
+            if shared:
+                stack.append((voters + (k,), shared, union | mask))
+    return [(voters, common, union) for (common, union, _), voters in first.items()]
 
 
 class _BestWitness:
     """Accumulates violations, keeping the maximum-deficit one; ties go to
-    the lexicographically smallest voter tuple, then the smallest bundle."""
+    the lexicographically smallest voter tuple, then to the first offered."""
 
     def __init__(self) -> None:
         self.deficit: float | None = None
         self.voters: tuple[int, ...] | None = None
-        self.bundle: tuple[int, ...] | None = None
         self.payload = None
 
-    def offer(self, deficit: float, voters: tuple[int, ...], bundle: tuple[int, ...], payload) -> None:
+    def offer(self, deficit: float, voters: tuple[int, ...], payload) -> None:
         if self.deficit is None or deficit > self.deficit + TOL:
             better = True
         elif deficit < self.deficit - TOL:
             better = False
-        elif voters != self.voters:
-            better = voters < self.voters
         else:
-            better = bundle < self.bundle
+            better = voters < self.voters
         if better:
-            self.deficit, self.voters, self.bundle, self.payload = deficit, voters, bundle, payload
+            self.deficit, self.voters, self.payload = deficit, voters, payload
 
     @property
     def found(self) -> bool:
         return self.deficit is not None
 
 
-def _prepare(inst: Instance, profile: Profile, budget: Budget, *, brute: bool):
-    _require_profile(inst, profile)
-    _require_budget(inst, budget)
-    if not is_feasible(inst, budget):
-        raise InvalidBudget("axiom checks expect a feasible budget")
-    if brute and profile.num_voters > MAX_EXACT_VOTERS:
-        raise TooLargeForExact(
-            f"exact subset sweep supports at most {MAX_EXACT_VOTERS} voters, got {profile.num_voters}"
-        )
+class _GroupTable:
+    """Everything the checkers need from ``(inst, profile)`` alone.
 
-
-def _knapsack_cache(inst: Instance):
-    cache: dict[tuple[int, float], tuple[float, int]] = {}
-
-    def knap(inter_mask: int, cap: float) -> tuple[float, int]:
-        key = (inter_mask, cap)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if inter_mask.bit_count() > MAX_EXACT_BUNDLE_ITEMS:
-            raise TooLargeForExact(
-                f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items"
-            )
-        positions = list(bits(inter_mask))
-        values = [inst.cost[i] for i in positions]
-        result = _max_bundle_over(values, positions, cap)
-        cache[key] = result
-        return result
-
-    return knap
-
-
-def check_bjr_poly(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> AxiomReport:
-    """Polynomial test of the BJR or Strong-BJR axiom (either variant).
-
-    A violation is a group of wholly unrepresented voters, at least
-    ``n / denominator`` strong, sharing a candidate item: any item for the
-    strong family (normalization makes every shared item weigh at least
-    one unit), an item of cost exactly 1 for plain BJR.
+    Built once per public call and shared by every budget that call
+    checks: memoized subset weights, one knapsack cache keyed by (item
+    mask, cap), and, on first use, the cohesive groups of
+    :func:`_cohesive_groups` and their largest-size classes.  Nothing in
+    it outlives the call.
     """
-    if axiom.family not in _BJR_FAMILIES:
-        raise ValueError(f"check_bjr_poly handles {_BJR_FAMILIES}, got {axiom.family!r}")
-    _prepare(inst, profile, budget, brute=False)
+
+    def __init__(self, inst: Instance, profile: Profile) -> None:
+        _require_profile(inst, profile)
+        self.inst = inst
+        self.profile = profile
+        self.n = profile.num_voters
+        self.weights = MaskWeights(inst.cost)
+        self._bundles: dict[tuple[int, float], tuple[float, int]] = {}
+
+    @cached_property
+    def groups(self) -> list[tuple[tuple[int, ...], int, int]]:
+        """One entry per (common, union, size), in voter-tuple order."""
+        return _cohesive_groups([mask_of(b) for b in self.profile.ballots])
+
+    @cached_property
+    def classes(self) -> list[tuple[tuple[int, ...], int, int]]:
+        """The largest-size entry of each (common, union) class.
+
+        At fixed common items and union, every violation test is easier
+        to meet for a larger group (its level, cap and threshold rise
+        with size), so a class has a violating entry iff its largest
+        entry violates.
+        """
+        largest: dict[tuple[int, int], tuple[tuple[int, ...], int, int]] = {}
+        for entry in self.groups:
+            held = largest.get(entry[1:])
+            if held is None or len(entry[0]) > len(held[0]):
+                largest[entry[1:]] = entry
+        return list(largest.values())
+
+    @cached_property
+    def _oversized(self) -> list[int]:
+        # sizes of the entries whose common items are too many for the knapsack
+        if self.inst.num_items <= MAX_EXACT_BUNDLE_ITEMS:
+            return []
+        return [len(voters) for voters, common, _ in self.groups
+                if common.bit_count() > MAX_EXACT_BUNDLE_ITEMS]
+
+    def heaviest(self, mask: int, cap: float) -> tuple[float, int]:
+        """Heaviest sub-bundle of the items in ``mask`` fitting under
+        ``cap``, as ``(weight, bundle_mask)``."""
+        key = (mask, cap)
+        hit = self._bundles.get(key)
+        if hit is None:
+            positions = list(bits(mask))
+            hit = _max_bundle_over([self.inst.cost[i] for i in positions], positions, cap)
+            self._bundles[key] = hit
+        return hit
+
+    def report(self, budget: Budget, axiom: AxiomId, *, literal_level_range: bool = False) -> AxiomReport:
+        """The checker's report, witness included, for one budget."""
+        self._admit(budget, axiom)
+        if axiom.family in _BJR_FAMILIES:
+            return _bjr_report(self.inst, self.profile, budget, axiom)
+        # Entries come in voter-tuple order, and each holds the smallest
+        # tuple of groups that share its deficit, so this picks the
+        # witness that a sweep over every voter group would.
+        best = _BestWitness()
+        for deficit, voters, payload in self._violations(budget, axiom, False, literal_level_range):
+            best.offer(deficit, voters, payload)
+        if not best.found:
+            return AxiomReport(axiom, True, None, BRUTE_FORCE)
+        level, common, bundle, represented, required = best.payload
+        witness = AxiomWitness(
+            voters=frozenset(best.voters),
+            level=level,
+            common_items=frozenset(bits(common)),
+            witness_bundle=frozenset(bits(bundle)),
+            represented_weight=represented,
+            required_weight=required,
+        )
+        return AxiomReport(axiom, False, witness, BRUTE_FORCE)
+
+    def holds(self, budget: Budget, axiom: AxiomId) -> bool:
+        """The verdict alone: stops at the first violating class."""
+        self._admit(budget, axiom)
+        if axiom.family in _BJR_FAMILIES:
+            return _bjr_report(self.inst, self.profile, budget, axiom).satisfied
+        return next(self._violations(budget, axiom, True), None) is None
+
+    def verdicts(self, budget: Budget) -> dict[AxiomId, bool]:
+        """:meth:`holds` for all ten axioms, in ``ALL_AXIOMS`` order."""
+        return {axiom: self.holds(budget, axiom) for axiom in ALL_AXIOMS}
+
+    def _admit(self, budget: Budget, axiom: AxiomId) -> None:
+        if not is_feasible(self.inst, budget):
+            raise InvalidBudget("axiom checks expect a feasible budget")
+        if axiom.family in _BRUTE_FAMILIES and self.n > MAX_EXACT_VOTERS:
+            raise TooLargeForExact(
+                f"exact subset sweep supports at most {MAX_EXACT_VOTERS} voters, got {self.n}"
+            )
+
+    def _violations(self, budget: Budget, axiom: AxiomId, verdict_only: bool,
+                    literal_level_range: bool = False) -> Iterator[tuple]:
+        """The violating entries of one BPJR-family axiom, in entry order,
+        as ``(deficit, voters, (level, common, bundle, represented,
+        required))`` with masks for the item sets.
+
+        Runs over every entry for a witness and over :attr:`classes` for
+        a verdict.
+        """
+        inst, n, weights = self.inst, self.n, self.weights
+        family = axiom.family
+        denom = inst.limit if axiom.variant == "l" else budget.total_cost
+        if denom <= TOL:
+            return  # no group's entitlement reaches one unit
+        # A full sweep hands the knapsack the common items of every BPJR
+        # group reaching level 1 and of every Local-BPJR group; refuse up
+        # front, so a verdict that stops early raises exactly as it does.
+        for size in self._oversized:
+            if family == "local-bpjr" or (family == "bpjr" and size * denom / n >= 1.0 - TOL):
+                raise TooLargeForExact(f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items")
+        groups = self.classes if verdict_only else self.groups
+        selected = mask_of(budget.selected)
+
+        if family == "strong-bpjr":
+            # the claimable levels form an interval; test its top
+            for voters, common, union in groups:
+                level = min(len(voters) * denom / n, weights[common])
+                if level < 1.0 - TOL:
+                    continue
+                represented = weights[union & selected]
+                if represented < level - TOL:
+                    yield level - represented, voters, (level, common, common, represented, level)
+        elif family == "bpjr":
+            # the bundle maximizer is monotone in the cap; test the top level
+            for voters, common, union in groups:
+                share = len(voters) * denom / n
+                level = min(share, weights[common])
+                if level < 1.0 - TOL:
+                    continue
+                threshold, bundle = self.heaviest(common, min(share, denom))
+                if threshold <= TOL:
+                    continue
+                represented = weights[union & selected]
+                if represented < threshold - TOL:
+                    yield threshold - represented, voters, (level, common, bundle, represented, threshold)
+        else:
+            for voters, common, union in groups:
+                represented_mask = union & selected
+                if represented_mask & ~common:
+                    continue  # no bundle of common items can strictly contain it
+                rest = common & ~represented_mask
+                if not rest:
+                    continue
+                cap = len(voters) * denom / n
+                if literal_level_range and axiom.variant == "w":
+                    cap = min(cap, inst.limit)
+                represented = weights[represented_mask]
+                cheapest = min(inst.cost[i] for i in bits(rest))
+                if represented + cheapest > cap + TOL:
+                    continue
+                extension, extra = self.heaviest(rest, cap - represented)
+                level = represented + extension
+                yield extension, voters, (level, common, represented_mask | extra, represented, level)
+
+
+def _bjr_report(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> AxiomReport:
+    """:func:`check_bjr_poly` on a budget already admitted."""
     n = profile.num_voters
     denom = inst.limit if axiom.variant == "l" else budget.total_cost
     if denom <= TOL or n == 0:
@@ -250,7 +403,7 @@ def check_bjr_poly(inst: Instance, profile: Profile, budget: Budget, axiom: Axio
     for c in candidates:
         group = tuple(i for i in unrepresented if c in profile.ballots[i])
         if group and len(group) >= need - TOL:
-            best.offer(1.0, group, (c,), c)
+            best.offer(1.0, group, c)
     if not best.found:
         return AxiomReport(axiom, True, None, POLYNOMIAL)
 
@@ -267,6 +420,19 @@ def check_bjr_poly(inst: Instance, profile: Profile, budget: Budget, axiom: Axio
     return AxiomReport(axiom, False, witness, POLYNOMIAL)
 
 
+def check_bjr_poly(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> AxiomReport:
+    """Polynomial test of the BJR or Strong-BJR axiom (either variant).
+
+    A violation is a group of wholly unrepresented voters, at least
+    ``n / denominator`` strong, sharing a candidate item: any item for the
+    strong family (normalization makes every shared item weigh at least
+    one unit), an item of cost exactly 1 for plain BJR.
+    """
+    if axiom.family not in _BJR_FAMILIES:
+        raise ValueError(f"check_bjr_poly handles {_BJR_FAMILIES}, got {axiom.family!r}")
+    return _GroupTable(inst, profile).report(budget, axiom)
+
+
 def check_strong_bpjr(inst: Instance, profile: Profile, budget: Budget, variant: str = "l") -> AxiomReport:
     """Exact check of Strong-BPJR: every cohesive group whose size grants
     it level ``ell`` must see at least ``ell`` units of weight on items it
@@ -276,39 +442,7 @@ def check_strong_bpjr(inst: Instance, profile: Profile, budget: Budget, variant:
     suffices to test the top one: ``min(size * denom / n, weight of the
     common items)``.
     """
-    axiom = AxiomId("strong-bpjr", variant)
-    _prepare(inst, profile, budget, brute=True)
-    n = profile.num_voters
-    denom = inst.limit if variant == "l" else budget.total_cost
-    if denom <= TOL or n == 0:
-        return AxiomReport(axiom, True, None, BRUTE_FORCE)
-
-    ballot_masks = [mask_of(b) for b in profile.ballots]
-    selected_mask = mask_of(budget.selected)
-    weigh = MaskWeights(inst.cost)
-    best = _BestWitness()
-    for voters, inter, union in _cohesive_groups(ballot_masks):
-        level = min(len(voters) * denom / n, weigh(inter))
-        if level < 1.0 - TOL:
-            continue
-        represented = weigh(union & selected_mask)
-        if represented < level - TOL:
-            best.offer(level - represented, tuple(voters), tuple(bits(inter)),
-                       (level, inter, represented))
-    if not best.found:
-        return AxiomReport(axiom, True, None, BRUTE_FORCE)
-
-    level, inter, represented = best.payload
-    common = frozenset(bits(inter))
-    witness = AxiomWitness(
-        voters=frozenset(best.voters),
-        level=level,
-        common_items=common,
-        witness_bundle=common,
-        represented_weight=represented,
-        required_weight=level,
-    )
-    return AxiomReport(axiom, False, witness, BRUTE_FORCE)
+    return _GroupTable(inst, profile).report(budget, AxiomId("strong-bpjr", variant))
 
 
 def check_bpjr(inst: Instance, profile: Profile, budget: Budget, variant: str = "l") -> AxiomReport:
@@ -321,45 +455,7 @@ def check_bpjr(inst: Instance, profile: Profile, budget: Budget, variant: str = 
     claimable levels; the bundle maximizer is monotone in the cap, so
     only the top level needs evaluating.
     """
-    axiom = AxiomId("bpjr", variant)
-    _prepare(inst, profile, budget, brute=True)
-    n = profile.num_voters
-    denom = inst.limit if variant == "l" else budget.total_cost
-    if denom <= TOL or n == 0:
-        return AxiomReport(axiom, True, None, BRUTE_FORCE)
-
-    ballot_masks = [mask_of(b) for b in profile.ballots]
-    selected_mask = mask_of(budget.selected)
-    weigh = MaskWeights(inst.cost)
-    knap = _knapsack_cache(inst)
-    best = _BestWitness()
-    for voters, inter, union in _cohesive_groups(ballot_masks):
-        size = len(voters)
-        share = size * denom / n
-        inter_weight = weigh(inter)
-        if min(share, inter_weight) < 1.0 - TOL:
-            continue
-        threshold, bundle_mask = knap(inter, min(share, denom))
-        if threshold <= TOL:
-            continue
-        represented = weigh(union & selected_mask)
-        if represented < threshold - TOL:
-            level = min(share, inter_weight)
-            best.offer(threshold - represented, tuple(voters), tuple(bits(bundle_mask)),
-                       (level, inter, bundle_mask, represented, threshold))
-    if not best.found:
-        return AxiomReport(axiom, True, None, BRUTE_FORCE)
-
-    level, inter, bundle_mask, represented, threshold = best.payload
-    witness = AxiomWitness(
-        voters=frozenset(best.voters),
-        level=level,
-        common_items=frozenset(bits(inter)),
-        witness_bundle=frozenset(bits(bundle_mask)),
-        represented_weight=represented,
-        required_weight=threshold,
-    )
-    return AxiomReport(axiom, False, witness, BRUTE_FORCE)
+    return _GroupTable(inst, profile).report(budget, AxiomId("bpjr", variant))
 
 
 def check_local_bpjr(
@@ -382,126 +478,30 @@ def check_local_bpjr(
     "w" variant range levels up to the limit instead of the spend; the
     group-size constraint binds first either way, so verdicts coincide.
     """
-    axiom = AxiomId("local-bpjr", variant)
-    _prepare(inst, profile, budget, brute=True)
-    n = profile.num_voters
-    denom = inst.limit if variant == "l" else budget.total_cost
-    if (variant == "w" and denom <= TOL) or n == 0:
-        return AxiomReport(axiom, True, None, BRUTE_FORCE)
-
-    ballot_masks = [mask_of(b) for b in profile.ballots]
-    selected_mask = mask_of(budget.selected)
-    weigh = MaskWeights(inst.cost)
-    knap = _knapsack_cache(inst)
-    best = _BestWitness()
-    for voters, inter, union in _cohesive_groups(ballot_masks):
-        if inter.bit_count() > MAX_EXACT_BUNDLE_ITEMS:
-            raise TooLargeForExact(f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items")
-        represented_mask = union & selected_mask
-        if represented_mask & ~inter:
-            continue  # no bundle of common items can strictly contain it
-        rest = inter & ~represented_mask
-        if not rest:
-            continue
-        cap = len(voters) * denom / n
-        if literal_level_range and variant == "w":
-            cap = min(cap, inst.limit)
-        represented = weigh(represented_mask)
-        cheapest = min(inst.cost[i] for i in bits(rest))
-        if represented + cheapest > cap + TOL:
-            continue
-        extension, ext_mask = knap(rest, cap - represented)
-        level = represented + extension
-        best.offer(extension, tuple(voters), tuple(bits(represented_mask | ext_mask)),
-                   (level, inter, represented_mask | ext_mask, represented))
-    if not best.found:
-        return AxiomReport(axiom, True, None, BRUTE_FORCE)
-
-    level, inter, extended_mask, represented = best.payload
-    witness = AxiomWitness(
-        voters=frozenset(best.voters),
-        level=level,
-        common_items=frozenset(bits(inter)),
-        witness_bundle=frozenset(bits(extended_mask)),
-        represented_weight=represented,
-        required_weight=level,
+    return _GroupTable(inst, profile).report(
+        budget, AxiomId("local-bpjr", variant), literal_level_range=literal_level_range
     )
-    return AxiomReport(axiom, False, witness, BRUTE_FORCE)
 
 
 def check_axiom(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> AxiomReport:
     """Dispatch to the appropriate checker for ``axiom``."""
-    if axiom.family in _BJR_FAMILIES:
-        return check_bjr_poly(inst, profile, budget, axiom)
-    if axiom.family == "strong-bpjr":
-        return check_strong_bpjr(inst, profile, budget, axiom.variant)
-    if axiom.family == "bpjr":
-        return check_bpjr(inst, profile, budget, axiom.variant)
-    return check_local_bpjr(inst, profile, budget, axiom.variant)
+    return _GroupTable(inst, profile).report(budget, axiom)
 
 
 def evaluate_axioms(inst: Instance, profile: Profile, budget: Budget) -> dict[AxiomId, bool]:
-    """Satisfaction verdicts for all ten axioms at once.
+    """Satisfaction verdicts for all ten axioms at once, in ``ALL_AXIOMS``
+    order.
 
-    Equivalent to calling :func:`check_axiom` per axiom, but the six
-    exponential families share a single sweep over cohesive groups, which
-    matters when certifying many budgets.
+    Equivalent to calling :func:`check_axiom` per axiom, errors included:
+    it raises ``TooLargeForExact`` exactly when one of the six BPJR-family
+    checks would, even where another group already settled the verdict.
+    The six share one group table built for this call; each verdict reads
+    only the largest group of every (common items, union) class and stops
+    at its first violation, and no witness is built.
+    :func:`probud.oracle.verify_implications` shares one table across all
+    its budgets instead.
     """
-    out: dict[AxiomId, bool] = {}
-    for family in _BJR_FAMILIES:
-        for variant in AXIOM_VARIANTS:
-            axiom = AxiomId(family, variant)
-            out[axiom] = check_bjr_poly(inst, profile, budget, axiom).satisfied
-
-    _prepare(inst, profile, budget, brute=True)
-    n = profile.num_voters
-    denominators = {"l": inst.limit, "w": budget.total_cost}
-    pending: set[AxiomId] = set()
-    for family in _BRUTE_FAMILIES:
-        for variant in AXIOM_VARIANTS:
-            axiom = AxiomId(family, variant)
-            if denominators[variant] <= TOL or n == 0:
-                out[axiom] = True
-            else:
-                pending.add(axiom)
-    if not pending:
-        return out
-
-    ballot_masks = [mask_of(b) for b in profile.ballots]
-    selected_mask = mask_of(budget.selected)
-    weigh = MaskWeights(inst.cost)
-    knap = _knapsack_cache(inst)
-    for voters, inter, union in _cohesive_groups(ballot_masks):
-        if not pending:
-            break
-        size = len(voters)
-        inter_weight = weigh(inter)
-        represented = weigh(union & selected_mask)
-        for axiom in tuple(pending):
-            denom = denominators[axiom.variant]
-            share = size * denom / n
-            violated = False
-            if axiom.family == "strong-bpjr":
-                level = min(share, inter_weight)
-                violated = level >= 1.0 - TOL and represented < level - TOL
-            elif axiom.family == "bpjr":
-                if min(share, inter_weight) >= 1.0 - TOL:
-                    threshold, _ = knap(inter, min(share, denom))
-                    violated = threshold > TOL and represented < threshold - TOL
-            else:
-                represented_mask = union & selected_mask
-                if not represented_mask & ~inter:
-                    rest = inter & ~represented_mask
-                    if rest:
-                        rep_weight = weigh(represented_mask)
-                        cheapest = min(inst.cost[i] for i in bits(rest))
-                        violated = rep_weight + cheapest <= share + TOL
-            if violated:
-                out[axiom] = False
-                pending.discard(axiom)
-    for axiom in pending:
-        out[axiom] = True
-    return out
+    return _GroupTable(inst, profile).verdicts(budget)
 
 
 def _implication_edges() -> tuple[tuple[AxiomId, AxiomId], ...]:

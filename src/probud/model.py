@@ -88,7 +88,12 @@ class Profile:
 
 @dataclass(frozen=True)
 class Budget:
-    """A selected set of item indices together with its total cost."""
+    """A selected set of item indices together with its total cost.
+
+    The feasibility tests and the axiom checkers reject a budget whose
+    ``total_cost`` differs from the cost of its items (``InvalidBudget``);
+    :meth:`of` computes it.
+    """
 
     selected: frozenset[int]
     total_cost: float
@@ -199,6 +204,13 @@ def _require_budget(inst: Instance, budget: Budget) -> None:
     for i in budget.selected:
         if not 0 <= i < inst.num_items:
             raise InvalidBudget(f"item index {i} out of range")
+    # every "w" entitlement is measured against total_cost; summing the
+    # same items in another order may differ by rounding, relative to size
+    weight = inst.weight(budget.selected)
+    if not abs(budget.total_cost - weight) <= TOL * max(1.0, weight):  # NaN fails too
+        raise InvalidBudget(
+            f"budget total cost {budget.total_cost} disagrees with its items' cost {weight}"
+        )
 
 
 def _require_profile(inst: Instance, profile: Profile) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._bits import bits
-from .axioms import check_axiom, evaluate_axioms, implied_by
+from .axioms import _GroupTable, implied_by, recheck_witness
 from .errors import TooLargeForExact
 from .model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile
 
@@ -69,11 +69,13 @@ def certify_existence(
     exhaustive_only: bool = False,
 ) -> ExistenceReport:
     """Run the axiom's checker over every (exhaustive) feasible budget and
-    report all satisfiers."""
+    report all satisfiers.
+
+    One group table serves every budget, and only verdicts are computed.
+    """
     budgets = enumerate_feasible(inst, exhaustive_only)
-    satisfying = tuple(
-        b for b in budgets if check_axiom(inst, profile, b, axiom).satisfied
-    )
+    table = _GroupTable(inst, profile)
+    satisfying = tuple(b for b in budgets if table.holds(b, axiom))
     return ExistenceReport(
         axiom=axiom,
         exhaustive_only=exhaustive_only,
@@ -92,10 +94,14 @@ def verify_implications(
 
     Returns the (budget, stronger, weaker) triples where the stronger
     axiom holds but the implied weaker one does not; expected empty.
+    Each budget's verdicts are those of
+    :func:`probud.axioms.evaluate_axioms`, over one group table shared by
+    all the budgets.
     """
+    table = _GroupTable(inst, profile)
     violations: list[tuple[Budget, AxiomId, AxiomId]] = []
     for budget in budgets:
-        satisfied = evaluate_axioms(inst, profile, budget)
+        satisfied = table.verdicts(budget)
         for stronger in ALL_AXIOMS:
             if not satisfied[stronger]:
                 continue
@@ -115,12 +121,13 @@ def replay_witnesses(
     the violation witness of every enumerated budget.
 
     Returns True iff every budget's checker reports a violation and every
-    reported witness re-validates against the definition.
+    reported witness re-validates against the definition.  The reports
+    are those of :func:`probud.axioms.check_axiom`, over one group table
+    shared by all the budgets.
     """
-    from .axioms import recheck_witness
-
+    table = _GroupTable(inst, profile)
     for budget in enumerate_feasible(inst, exhaustive_only):
-        report = check_axiom(inst, profile, budget, axiom)
+        report = table.report(budget, axiom)
         if report.satisfied or not recheck_witness(inst, profile, budget, report):
             return False
     return True

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from probud.axioms import BRUTE_FORCE, AxiomReport, AxiomWitness, max_bundle
 from probud.model import TOL, AxiomId, Budget, Instance, Profile
 
 
@@ -129,6 +130,104 @@ def literal_axiom_satisfied(inst: Instance, profile: Profile, budget: Budget, ax
                     if any(realized < b for b in maximizers):
                         return False
     return True
+
+
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _voter_groups(masks):
+    """All voter subsets whose ballots share an item, in lexicographic
+    preorder, as (voters, intersection mask, union mask)."""
+    n = len(masks)
+
+    def extend(voters, start, inter, union):
+        for j in range(start, n):
+            inter2 = inter & masks[j]
+            if inter2:
+                group = voters + (j,)
+                yield group, inter2, union | masks[j]
+                yield from extend(group, j + 1, inter2, union | masks[j])
+
+    yield from extend((), 0, -1, 0)
+
+
+class _Best:
+    """Maximum deficit; ties within TOL go to the lexicographically
+    smallest voter tuple, then the smallest bundle."""
+
+    def __init__(self):
+        self.key = None
+
+    def offer(self, deficit, voters, bundle, payload):
+        if self.key is not None:
+            best_deficit, best_voters, best_bundle, _ = self.key
+            if deficit < best_deficit - TOL:
+                return
+            if deficit <= best_deficit + TOL and (voters, bundle) >= (best_voters, best_bundle):
+                return
+        self.key = (deficit, voters, bundle, payload)
+
+
+def reference_bpjr_report(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> AxiomReport:
+    """The BPJR-family checkers as a sweep over every cohesive voter group,
+    one group at a time, with no table or collapsing: the maximum-deficit
+    violation with the lexicographically smallest voter tuple is the
+    witness.  Item-set weights sum costs in ascending item order."""
+    n = profile.num_voters
+    denom = inst.limit if axiom.variant == "l" else budget.total_cost
+    if denom <= TOL or n == 0:
+        return AxiomReport(axiom, True, None, BRUTE_FORCE)
+
+    def weigh(mask):
+        return sum(inst.cost[i] for i in _bits(mask))
+
+    def knap(mask, cap):
+        weight, bundle = max_bundle({i: inst.cost[i] for i in _bits(mask)}, cap)
+        return weight, sum(1 << i for i in bundle)
+
+    masks = [sum(1 << i for i in ballot) for ballot in profile.ballots]
+    selected = sum(1 << i for i in budget.selected)
+    best = _Best()
+    for voters, inter, union in _voter_groups(masks):
+        share = len(voters) * denom / n
+        represented_mask = union & selected
+        represented = weigh(represented_mask)
+        if axiom.family == "strong-bpjr":
+            level = min(share, weigh(inter))
+            if level >= 1.0 - TOL and represented < level - TOL:
+                best.offer(level - represented, voters, tuple(_bits(inter)),
+                           (level, inter, inter, represented, level))
+        elif axiom.family == "bpjr":
+            level = min(share, weigh(inter))
+            if level < 1.0 - TOL:
+                continue
+            threshold, bundle = knap(inter, min(share, denom))
+            if threshold > TOL and represented < threshold - TOL:
+                best.offer(threshold - represented, voters, tuple(_bits(bundle)),
+                           (level, inter, bundle, represented, threshold))
+        else:
+            rest = inter & ~represented_mask
+            if represented_mask & ~inter or not rest:
+                continue
+            if represented + min(inst.cost[i] for i in _bits(rest)) > share + TOL:
+                continue
+            extension, extra = knap(rest, share - represented)
+            level = represented + extension
+            best.offer(extension, voters, tuple(_bits(represented_mask | extra)),
+                       (level, inter, represented_mask | extra, represented, level))
+    if best.key is None:
+        return AxiomReport(axiom, True, None, BRUTE_FORCE)
+    _, voters, _, (level, inter, bundle, represented, required) = best.key
+    witness = AxiomWitness(
+        voters=frozenset(voters),
+        level=level,
+        common_items=frozenset(_bits(inter)),
+        witness_bundle=frozenset(_bits(bundle)),
+        represented_weight=represented,
+        required_weight=required,
+    )
+    return AxiomReport(axiom, False, witness, BRUTE_FORCE)
 
 
 def brute_bjr_satisfied(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> bool:

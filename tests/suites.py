@@ -6,7 +6,10 @@ import random
 
 from probud.errors import InvalidSpec
 from probud.harness import GenSpec, generate
-from probud.model import TOL, Budget, Instance, Profile
+from probud.model import ALL_AXIOMS, TOL, Budget, Instance, Profile
+
+#: The six axioms checked by the exponential group sweep.
+BPJR_AXIOMS = tuple(a for a in ALL_AXIOMS if a.family in ("strong-bpjr", "bpjr", "local-bpjr"))
 
 
 def suite_instance(seed: int, max_voters: int = 10, max_items: int = 7):
@@ -33,6 +36,16 @@ def suite_instance(seed: int, max_voters: int = 10, max_items: int = 7):
             return generate(spec)
         except InvalidSpec:
             fraction = min(2.0, fraction * 1.7)
+
+
+def fitting_instance(limit_fraction: float, **fields):
+    """``generate(GenSpec(...))``, raising ``limit_fraction`` until the
+    limit admits at least one item."""
+    while True:
+        try:
+            return generate(GenSpec(limit_fraction=limit_fraction, **fields))
+        except InvalidSpec:
+            limit_fraction = min(2.0, limit_fraction * 1.7)
 
 
 def unit_instance(seed: int, max_voters: int = 10, max_items: int = 7):

@@ -16,11 +16,18 @@ from probud.axioms import (
     max_bundle_weight,
     recheck_witness,
 )
-from probud.errors import TooLargeForExact
+from probud.errors import InvalidBudget, TooLargeForExact
 from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, normalize
+from probud.oracle import enumerate_feasible
 
-from oracles import brute_bjr_satisfied, jr_satisfied, literal_axiom_satisfied, pjr_satisfied
-from suites import random_feasible_budget, suite_instance, unit_instance
+from oracles import (
+    brute_bjr_satisfied,
+    jr_satisfied,
+    literal_axiom_satisfied,
+    pjr_satisfied,
+    reference_bpjr_report,
+)
+from suites import BPJR_AXIOMS, fitting_instance, random_feasible_budget, suite_instance, unit_instance
 
 
 # ---------------------------------------------------------------- knapsack
@@ -339,3 +346,98 @@ def test_witnesses_revalidate_from_scratch():
                 )
                 checked += 1
     assert checked > 50  # the sweep actually exercised violations
+
+
+def _reference_cases():
+    """Bloc instances with duplicate ballots on every exhaustive budget,
+    then impartial instances on seeded random budgets."""
+    rng = random.Random(808)
+    for seed in range(30):
+        inst, profile = fitting_instance(
+            num_items=rng.randint(3, 7),
+            num_voters=rng.randint(4, 10),
+            cost_model=rng.choice(("unit", "uniform", "heavy-tail")),
+            cost_high=rng.uniform(1.5, 5.0),
+            ballot_model="groups",
+            group_count=rng.randint(1, 3),
+            group_overlap=rng.uniform(0.0, 0.3),
+            limit_fraction=rng.uniform(0.3, 0.8),
+            seed=seed,
+        )
+        for budget in enumerate_feasible(inst, exhaustive_only=True):
+            yield inst, profile, budget
+    for seed in range(60):
+        inst, profile = fitting_instance(
+            num_items=rng.randint(3, 8),
+            num_voters=rng.randint(2, 10),
+            cost_model=rng.choice(("unit", "uniform", "heavy-tail")),
+            cost_high=rng.uniform(1.5, 5.0),
+            ballot_model="impartial",
+            approval_prob=rng.uniform(0.2, 0.7),
+            limit_fraction=rng.uniform(0.3, 0.8),
+            seed=seed,
+        )
+        for _ in range(3):
+            yield inst, profile, random_feasible_budget(inst, rng)
+
+
+def test_bpjr_family_reports_match_voter_level_reference():
+    duplicates = violations = 0
+    for inst, profile, budget in _reference_cases():
+        duplicates += len(set(profile.ballots)) < profile.num_voters
+        for axiom in BPJR_AXIOMS:
+            report = check_axiom(inst, profile, budget, axiom)
+            assert report == reference_bpjr_report(inst, profile, budget, axiom), (
+                f"{axiom} on {sorted(budget.selected)}"
+            )
+            violations += not report.satisfied
+    assert duplicates > 100  # budgets of profiles whose groups collapse
+    assert violations > 300
+
+
+def _wide_common_instance(limit):
+    # voters 1 and 2 share 26 items, one more than the bundle maximizer takes
+    inst = Instance(tuple(f"c{j}" for j in range(28)), (1.0,) * 28, float(limit))
+    wide = frozenset(range(1, 27))
+    return inst, Profile((frozenset({0}), wide, wide))
+
+
+@pytest.mark.parametrize("limit, items, expected", [
+    (3, [1, 2, 3], "bpjr-l bpjr-w local-bpjr-l local-bpjr-w"),
+    (3, [], "bpjr-l local-bpjr-l"),  # no spend: the "w" entitlements vanish
+    (1, [0], "local-bpjr-l local-bpjr-w"),  # two of three voters stay below level 1
+    (1, [], "local-bpjr-l"),
+    (0, [], ""),
+])
+def test_evaluate_axioms_raises_exactly_when_a_checker_does(limit, items, expected):
+    # BPJR needs the knapsack of the wide common set only once the group
+    # reaches level 1, Local-BPJR for every group.  In the first case
+    # voter 0 alone violates every BPJR family before the wide groups
+    # come up, so a sweep that stopped at its first violation would miss
+    # them.  A non-raising call lists its verdicts in ALL_AXIOMS order.
+    inst, profile = _wide_common_instance(limit)
+    budget = Budget.of(inst, items)
+    raised = []
+    for axiom in ALL_AXIOMS:
+        try:
+            check_axiom(inst, profile, budget, axiom)
+        except TooLargeForExact:
+            raised.append(str(axiom))
+    assert raised == expected.split()
+    if raised:
+        with pytest.raises(TooLargeForExact):
+            evaluate_axioms(inst, profile, budget)
+    else:
+        assert list(evaluate_axioms(inst, profile, budget)) == list(ALL_AXIOMS)
+
+
+def test_check_axiom_rejects_a_budget_whose_total_disagrees_with_its_items():
+    # a total of 0 would make every "w" check vacuously satisfied
+    inst = Instance(("a", "b"), (1.0, 1.0), 2.0)
+    profile = Profile.of([{1}, {1}])
+    for variant in ("l", "w"):
+        for family in ("strong-bpjr", "bpjr", "local-bpjr"):
+            axiom = AxiomId(family, variant)
+            assert not check_axiom(inst, profile, Budget.of(inst, {0}), axiom).satisfied
+            with pytest.raises(InvalidBudget):
+                check_axiom(inst, profile, Budget(frozenset({0}), 0.0), axiom)

@@ -116,6 +116,14 @@ def test_is_feasible_rejects_unknown_item(ex1):
         is_feasible(inst, Budget(frozenset([7]), 1.0))
 
 
+@pytest.mark.parametrize("total", [0.0, 2.0, 1.0 + 1e-6, math.nan])
+def test_budget_total_must_match_its_items(total):
+    inst = Instance(("a", "b"), (1.0, 1.0), 2.0)
+    assert is_feasible(inst, Budget(frozenset({0}), 1.0 + 1e-12))
+    with pytest.raises(InvalidBudget):
+        is_feasible(inst, Budget(frozenset({0}), total))
+
+
 def test_is_exhaustive_examples(ex1, ex2):
     _, inst2, _ = ex2
     assert is_exhaustive(inst2, Budget.of(inst2, [1, 2]))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from probud.errors import TooLargeForExact
@@ -11,7 +13,7 @@ from probud.oracle import (
 from probud.rules import gpseq
 
 from oracles import count_feasible
-from suites import suite_instance, unit_instance
+from suites import BPJR_AXIOMS, fitting_instance, suite_instance, unit_instance
 
 
 def test_enumerate_exhaustive_on_example_one(ex1):
@@ -134,3 +136,54 @@ def test_gpseq_output_listed_among_local_bpjr_satisfiers():
         budget, _ = gpseq(inst, profile)
         report = certify_existence(inst, profile, AxiomId("local-bpjr", "l"))
         assert budget in report.satisfying_budgets, f"seed {seed}"
+
+
+def _bloc_instances(count):
+    rng = random.Random(4711)
+    for seed in range(count):
+        yield fitting_instance(
+            num_items=rng.randint(4, 8),
+            num_voters=rng.randint(4, 12),
+            cost_model=rng.choice(("unit", "uniform", "heavy-tail")),
+            cost_high=rng.uniform(1.5, 5.0),
+            ballot_model="groups",
+            group_count=rng.randint(2, 4),
+            group_overlap=rng.uniform(0.0, 0.3),
+            limit_fraction=rng.uniform(0.25, 0.7),
+            seed=seed,
+        )
+
+
+def test_certify_and_verify_build_the_group_table_once(monkeypatch):
+    import probud.axioms
+
+    builds = []
+    sweep = probud.axioms._cohesive_groups
+    monkeypatch.setattr(probud.axioms, "_cohesive_groups", lambda masks: builds.append(1) or sweep(masks))
+    inst, profile = next(_bloc_instances(1))
+    budgets = enumerate_feasible(inst)
+    assert len(budgets) > 5
+    for axiom in BPJR_AXIOMS:
+        builds.clear()
+        certify_existence(inst, profile, axiom)
+        assert len(builds) == 1, axiom
+    builds.clear()
+    verify_implications(inst, profile, budgets)
+    assert len(builds) == 1
+    builds.clear()
+    replay_witnesses(inst, profile, AxiomId("strong-bpjr", "l"))
+    assert len(builds) == 1
+
+
+def test_certified_satisfiers_equal_a_per_budget_filter():
+    # the "w" knapsack caps follow each budget's spend, so a table cache
+    # keyed without the cap would show up as a wrong satisfier here
+    from probud.axioms import check_axiom
+
+    for inst, profile in _bloc_instances(12):
+        for exhaustive_only in (False, True):
+            budgets = enumerate_feasible(inst, exhaustive_only)
+            for axiom in BPJR_AXIOMS:
+                report = certify_existence(inst, profile, axiom, exhaustive_only)
+                expected = tuple(b for b in budgets if check_axiom(inst, profile, b, axiom).satisfied)
+                assert report.satisfying_budgets == expected, (axiom, exhaustive_only)
