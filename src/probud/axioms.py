@@ -276,7 +276,7 @@ class _GroupTable:
             self._bundles[key] = hit
         return hit
 
-    def report(self, budget: Budget, axiom: AxiomId, *, literal_level_range: bool = False) -> AxiomReport:
+    def report(self, budget: Budget, axiom: AxiomId) -> AxiomReport:
         """The checker's report, witness included, for one budget."""
         self._admit(budget, axiom)
         if axiom.family in _BJR_FAMILIES:
@@ -285,7 +285,7 @@ class _GroupTable:
         # tuple of groups that share its deficit, so this picks the
         # witness that a sweep over every voter group would.
         best = _BestWitness()
-        for deficit, voters, payload in self._violations(budget, axiom, False, literal_level_range):
+        for deficit, voters, payload in self._violations(budget, axiom, False):
             best.offer(deficit, voters, payload)
         if not best.found:
             return AxiomReport(axiom, True, None, BRUTE_FORCE)
@@ -319,8 +319,7 @@ class _GroupTable:
                 f"exact subset sweep supports at most {MAX_EXACT_VOTERS} voters, got {self.n}"
             )
 
-    def _violations(self, budget: Budget, axiom: AxiomId, verdict_only: bool,
-                    literal_level_range: bool = False) -> Iterator[tuple]:
+    def _violations(self, budget: Budget, axiom: AxiomId, verdict_only: bool) -> Iterator[tuple]:
         """The violating entries of one BPJR-family axiom, in entry order,
         as ``(deficit, voters, (level, common, bundle, represented,
         required))`` with masks for the item sets.
@@ -373,8 +372,6 @@ class _GroupTable:
                 if not rest:
                     continue
                 cap = len(voters) * denom / n
-                if literal_level_range and axiom.variant == "w":
-                    cap = min(cap, inst.limit)
                 represented = weights[represented_mask]
                 cheapest = min(inst.cost[i] for i in bits(rest))
                 if represented + cheapest > cap + TOL:
@@ -463,8 +460,6 @@ def check_local_bpjr(
     profile: Profile,
     budget: Budget,
     variant: str = "l",
-    *,
-    literal_level_range: bool = False,
 ) -> AxiomReport:
     """Exact check of Local-BPJR: no cohesive group may have its realized
     representation strictly extendable to a bundle maximizer within its
@@ -474,13 +469,9 @@ def check_local_bpjr(
     maximizers are exactly the bundles of weight ``ell``, so a violation
     exists iff the group's representation, restricted to its common
     items, can be extended by at least one more common item without
-    exceeding the group's level cap.  ``literal_level_range`` makes the
-    "w" variant range levels up to the limit instead of the spend; the
-    group-size constraint binds first either way, so verdicts coincide.
+    exceeding the group's level cap.
     """
-    return _GroupTable(inst, profile).report(
-        budget, AxiomId("local-bpjr", variant), literal_level_range=literal_level_range
-    )
+    return _GroupTable(inst, profile).report(budget, AxiomId("local-bpjr", variant))
 
 
 def check_axiom(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> AxiomReport:

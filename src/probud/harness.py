@@ -180,9 +180,8 @@ def serialize_instance_file(f: InstanceFile) -> str:
 
 
 def _format_number(x: float) -> str:
-    if abs(x - round(x)) < 1e-12:
-        return str(int(round(x)))
-    return repr(x)
+    # only an exact integer loses its fraction, so parsing gives x back
+    return str(int(x)) if float(x).is_integer() else repr(x)
 
 
 def parse_instance(text: str) -> tuple[Instance, Profile]:

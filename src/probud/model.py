@@ -57,8 +57,9 @@ class Instance:
         return len(self.names)
 
     def weight(self, items: Iterable[int]) -> float:
-        """Total cost of the given item indices."""
-        return sum(self.cost[i] for i in items)
+        """Total cost of the given item indices, summed in ascending index
+        order, so the same items always give the same float."""
+        return sum(self.cost[i] for i in sorted(items))
 
     def index_of(self, name: str) -> int:
         try:
@@ -204,8 +205,8 @@ def _require_budget(inst: Instance, budget: Budget) -> None:
     for i in budget.selected:
         if not 0 <= i < inst.num_items:
             raise InvalidBudget(f"item index {i} out of range")
-    # every "w" entitlement is measured against total_cost; summing the
-    # same items in another order may differ by rounding, relative to size
+    # every "w" entitlement is measured against total_cost; a caller's
+    # total summed in another order may differ by rounding, relative to size
     weight = inst.weight(budget.selected)
     if not abs(budget.total_cost - weight) <= TOL * max(1.0, weight):  # NaN fails too
         raise InvalidBudget(

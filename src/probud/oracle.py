@@ -1,15 +1,16 @@
 """Brute-force ground truth for desk-scale instances.
 
-Enumerates every feasible budget, certifies for which budgets an axiom
-holds (in particular whether any satisfying budget exists at all), and
-cross-checks the implication lattice between the ten axioms.
+Enumerates every feasible budget by one pruned walk over the subsets
+that fit, certifies for which budgets an axiom holds (in particular
+whether any satisfying budget exists at all), and cross-checks the
+implication lattice between the ten axioms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import bits
+from ._bits import bits, subsets_within
 from .axioms import _GroupTable, implied_by, recheck_witness
 from .errors import TooLargeForExact
 from .model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile
@@ -32,34 +33,23 @@ class ExistenceReport:
 
 def enumerate_feasible(inst: Instance, exhaustive_only: bool = False) -> list[Budget]:
     """All feasible budgets, optionally restricted to exhaustive ones, in
-    lexicographic order of their sorted index tuples."""
+    lexicographic order of their sorted index tuples; memory grows with
+    their number, not with 2^m."""
     m = inst.num_items
     if m > MAX_ENUM_ITEMS:
         raise TooLargeForExact(
             f"budget enumeration supports at most {MAX_ENUM_ITEMS} items, got {m}"
         )
-    totals = [0.0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        totals[mask] = totals[mask ^ low] + inst.cost[low.bit_length() - 1]
-
-    budgets: list[tuple[tuple[int, ...], float]] = []
-    limit = inst.limit
-    for mask in range(1 << m):
-        total = totals[mask]
-        if total > limit + TOL:
-            continue
-        if exhaustive_only:
-            exhaustive = True
-            for c in range(m):
-                if not (mask >> c) & 1 and total + inst.cost[c] <= limit + TOL:
-                    exhaustive = False
-                    break
-            if not exhaustive:
-                continue
-        budgets.append((tuple(bits(mask)), total))
-    budgets.sort()
-    return [Budget(frozenset(indices), total) for indices, total in budgets]
+    cost, bound = inst.cost, inst.limit + TOL
+    addable = range(m) if exhaustive_only else ()
+    budgets = []
+    for mask, total in subsets_within(cost, bound):
+        for c in addable:
+            if not (mask >> c) & 1 and total + cost[c] <= bound:
+                break  # c still fits: not exhaustive
+        else:
+            budgets.append(Budget(frozenset(bits(mask)), total))
+    return budgets
 
 
 def certify_existence(

@@ -24,15 +24,16 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ._bits import bits
+from ._bits import bits, mask_of, subsets_within
 from .errors import InvalidBudget, InvalidProfile, NoApprover, TooLargeForExact
 from .model import TOL, Budget, Instance, Profile, _require_profile
 
 #: Recognized tie-breaking policies for the sequential rule.
 TIE_POLICIES = ("lex", "cheapest", "most-approved")
 
-#: Hard cap on items for the constructive BPJR-L procedure (it enumerates
-#: bundles; memory grows as 2**m, so desk scale in practice is m <~ 20).
+#: Hard cap on items for the constructive BPJR-L procedure.  It lists and
+#: sorts every feasible bundle, so time and memory grow with their number
+#: (at most 2**m); desk scale in practice is m <~ 20.
 MAX_CONSTRUCT_ITEMS = 25
 
 
@@ -361,12 +362,15 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
     """Constructive procedure for an exhaustive BPJR-L budget.
 
     Walk achievable bundle weights downward.  At each level, among the
-    not-yet-selected bundles of exactly that weight, take a bundle with
-    maximal support among still-unserved voters whenever that support
-    meets the level's group-size threshold, retiring the supporters;
-    repeat at the same level until no bundle qualifies, then descend.
-    Finally fill to exhaustiveness.  Exponential in the number of items
-    (hard cap ``MAX_CONSTRUCT_ITEMS``).
+    not-yet-selected bundles of exactly that weight that still fit the
+    limit, take a bundle with maximal support among still-unserved voters
+    whenever that support meets the level's group-size threshold,
+    retiring the supporters; repeat at the same level until no bundle
+    qualifies, then descend.  Finally fill to exhaustiveness.  The bundles
+    come from one walk over the feasible subsets
+    (:func:`probud._bits.subsets_within`), so an infeasible bundle is
+    never offered.  Exponential in the number of items (hard cap
+    ``MAX_CONSTRUCT_ITEMS``).
     """
     _require_profile(inst, profile)
     if profile.num_voters == 0:
@@ -378,25 +382,16 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
         )
     n = profile.num_voters
 
-    pairs: list[tuple[float, int]] = [(0.0, 0)]
-    for c in range(m):
-        bit = 1 << c
-        pairs.extend([(w + inst.cost[c], mask | bit) for w, mask in pairs])
-    pairs.sort()
+    pairs = sorted((w, mask) for mask, w in subsets_within(inst.cost, inst.limit + TOL))
     weights = [w for w, _ in pairs]
 
     levels: list[float] = []
     for w in weights:
-        if w < 1.0 - TOL or w > inst.limit + TOL:
-            continue
-        if not levels or w - levels[-1] > TOL:
+        if w >= 1.0 - TOL and (not levels or w - levels[-1] > TOL):
             levels.append(w)
     levels.reverse()
 
-    ballot_masks = [0] * n
-    for i, ballot in enumerate(profile.ballots):
-        for c in ballot:
-            ballot_masks[i] |= 1 << c
+    ballot_masks = [mask_of(ballot) for ballot in profile.ballots]
     active = set(range(n))
     selected_mask = 0
     total = 0.0
@@ -405,25 +400,19 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
         hi = bisect_right(weights, level + TOL)
         while total + level <= inst.limit + TOL:
             best_key = None
-            best_mask = 0
-            best_support = 0
             for idx in range(lo, hi):
-                mask = pairs[idx][1]
-                if mask & selected_mask:
+                w, mask = pairs[idx]
+                # a level's weights may sit a tolerance above it
+                if mask & selected_mask or total + w > inst.limit + TOL:
                     continue
                 support = sum(1 for i in active if mask & ~ballot_masks[i] == 0)
                 key = (-support, mask.bit_count(), tuple(bits(mask)))
                 if best_key is None or key < best_key:
-                    best_key, best_mask, best_support = key, mask, support
+                    best_key, best_weight, best_mask, best_support = key, w, mask, support
             if best_key is None or best_support < level * n / inst.limit - TOL:
                 break
-            # gate on the bundle's true weight: clustered level values may
-            # sit a tolerance away from it
-            true_weight = sum(inst.cost[c] for c in bits(best_mask))
-            if total + true_weight > inst.limit + TOL:
-                break
             selected_mask |= best_mask
-            total += true_weight
+            total += best_weight
             active = {i for i in active if best_mask & ~ballot_masks[i] != 0}
 
     selected = set(bits(selected_mask))

@@ -264,16 +264,6 @@ def test_local_bpjr_w_trivial_for_zero_spend():
     assert check_local_bpjr(inst, profile, empty, "w").satisfied
 
 
-def test_local_bpjr_literal_level_range_flag_is_inert():
-    rng = random.Random(4242)
-    for seed in range(80):
-        inst, profile = suite_instance(seed, max_voters=7, max_items=5)
-        budget = random_feasible_budget(inst, rng)
-        default = check_local_bpjr(inst, profile, budget, "w")
-        literal = check_local_bpjr(inst, profile, budget, "w", literal_level_range=True)
-        assert default.satisfied == literal.satisfied
-
-
 # ------------------------------------------------------- implication lattice
 
 

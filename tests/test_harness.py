@@ -1,8 +1,12 @@
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from probud.errors import DuplicateItem, InvalidCost, InvalidProfile, InvalidSpec, ParseError
 from probud.harness import (
     GenSpec,
+    InstanceFile,
     generate,
     generate_file,
     parse_instance,
@@ -81,10 +85,40 @@ def test_round_trip_is_identity(name):
 
 
 def test_serializer_preserves_fractional_costs():
-    f = generate_file(GenSpec(num_items=4, num_voters=3, cost_model="uniform", seed=9))
-    again = parse_instance_file(serialize_instance_file(f))
-    assert again.raw_costs == f.raw_costs
-    assert again.raw_limit == f.raw_limit
+    for spec in (
+        GenSpec(num_items=4, num_voters=3, cost_model="uniform", seed=9),
+        # unit costs: the raw limit is 7.000000000000001, one ulp above 7
+        GenSpec(num_items=25, num_voters=3, cost_model="unit", limit_fraction=0.28),
+    ):
+        f = generate_file(spec)
+        again = parse_instance_file(serialize_instance_file(f))
+        assert again.raw_costs == f.raw_costs
+        assert again.raw_limit == f.raw_limit
+
+
+_near_integers = st.integers(min_value=1, max_value=10**6).flatmap(
+    lambda k: st.sampled_from((float(k), math.nextafter(k, 0.0), math.nextafter(k, math.inf)))
+)
+_positive_numbers = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), _near_integers
+)
+
+
+@given(st.lists(_positive_numbers, min_size=1, max_size=6), _positive_numbers)
+def test_round_trip_preserves_every_finite_positive_number(costs, limit):
+    ids = tuple(f"c{j + 1}" for j in range(len(costs)))
+    f = InstanceFile(
+        name="fuzz",
+        item_ids=ids,
+        item_names=ids,
+        raw_costs=tuple(costs),
+        raw_limit=limit,
+        voter_ids=("1",),
+        ballots=(frozenset({0}),),
+    )
+    canonical = serialize_instance_file(f)
+    assert parse_instance_file(canonical) == f
+    assert serialize_instance_file(parse_instance_file(canonical)) == canonical
 
 
 def test_round_trip_holds_across_generator_models():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from probud.errors import TooLargeForExact
-from probud.model import AxiomId, Instance, normalize
+from probud.harness import GenSpec, generate
+from probud.model import TOL, AxiomId, Budget, Instance, normalize
 from probud.oracle import (
     certify_existence,
     enumerate_feasible,
@@ -12,7 +13,7 @@ from probud.oracle import (
 )
 from probud.rules import gpseq
 
-from oracles import count_feasible
+from oracles import count_feasible, powerset
 from suites import BPJR_AXIOMS, fitting_instance, suite_instance, unit_instance
 
 
@@ -44,10 +45,34 @@ def test_enumerate_is_sorted_lexicographically(ex2):
 def test_enumerate_counts_match_recursive_generator():
     for seed in range(40):
         inst, _ = suite_instance(seed)
+        bound = inst.limit + TOL
+        feasible = sorted(
+            (subset, sum(inst.cost[i] for i in subset))
+            for subset in powerset(range(inst.num_items))
+            if sum(inst.cost[i] for i in subset) <= bound
+        )
         for exhaustive_only in (False, True):
-            got = len(enumerate_feasible(inst, exhaustive_only=exhaustive_only))
-            expected = count_feasible(inst.cost, inst.limit, exhaustive_only=exhaustive_only)
+            budgets = enumerate_feasible(inst, exhaustive_only=exhaustive_only)
+            expected = [
+                (subset, total)
+                for subset, total in feasible
+                if not exhaustive_only
+                or all(c in subset or total + inst.cost[c] > bound for c in range(inst.num_items))
+            ]
+            got = [(tuple(sorted(b.selected)), b.total_cost) for b in budgets]
             assert got == expected, f"seed {seed} exhaustive={exhaustive_only}"
+            counted = count_feasible(inst.cost, inst.limit, exhaustive_only=exhaustive_only)
+            assert len(budgets) == counted, f"seed {seed} exhaustive={exhaustive_only}"
+
+
+def test_enumerated_budgets_equal_budget_of_their_items():
+    large, _ = generate(
+        GenSpec(num_items=16, num_voters=1, cost_model="uniform", limit_fraction=0.3, seed=3)
+    )
+    instances = [suite_instance(seed)[0] for seed in range(200)] + [large]
+    for inst in instances:
+        for budget in enumerate_feasible(inst):
+            assert budget == Budget.of(inst, budget.selected), sorted(budget.selected)
 
 
 def test_enumerate_item_cap():

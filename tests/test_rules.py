@@ -409,3 +409,27 @@ def test_bpjr_construct_properties_on_random_suite():
         assert is_feasible(inst, budget)
         assert is_exhaustive(inst, budget)
         assert check_bpjr(inst, profile, budget, "l").satisfied, f"seed {seed}"
+
+
+@pytest.mark.parametrize(
+    "names, costs, limit, ballots, expected",
+    [
+        # {a, d} weighs 3 + 1.5e-9, past limit + TOL, yet lies within TOL of
+        # the top level 3 + 0.8e-9 and has the smallest index tuple there;
+        # it must not keep the feasible {a, c} from being taken
+        (("a", "d", "c", "b"), (1.0, 2 + 1.5e-9, 2 + 0.8e-9, 2 - 0.5e-9), 3.0,
+         [{0, 1, 2, 3}] * 3, [0, 2]),
+        # after {p}, the level 2 + 0.6e-9 also holds {y} at 2 + 1.4e-9, which
+        # fits alone but not next to {p}; it must not keep {x} from being taken
+        (("p", "y", "x", "z"), (3.0, 2 + 1.4e-9, 2 + 0.6e-9, 1.0), 5.0,
+         [{0}] * 3 + [{1, 2}] * 2, [0, 2]),
+    ],
+    ids=["over-limit", "over-remainder"],
+)
+def test_bpjr_construct_takes_only_bundles_that_fit(names, costs, limit, ballots, expected):
+    inst = Instance(names, costs, limit)
+    profile = Profile.of(ballots)
+    budget = bpjr_construct(inst, profile)
+    assert sorted(budget.selected) == expected
+    assert is_feasible(inst, budget)
+    assert check_bpjr(inst, profile, budget, "l").satisfied
