@@ -44,7 +44,9 @@ Violation conditions are piecewise-constant in ``ell`` between achievable
 bundle weights, so the sweeps evaluate only critical levels.  Checkers are
 pure functions; verdicts are deterministic, and the reported witness is
 the maximum-deficit violation with the lexicographically smallest voter
-group.
+group.  Entry order alone settles ties: the sweep keeps the first violation
+whose deficit beats the best so far by more than ``TOL``, and BJR, where
+every deficit is one unit, takes the smallest (voter tuple, item) pair.
 """
 
 from __future__ import annotations
@@ -194,30 +196,6 @@ def _cohesive_groups(masks: Sequence[int]) -> list[tuple[tuple[int, ...], int, i
     return [(voters, common, union) for (common, union, _), voters in first.items()]
 
 
-class _BestWitness:
-    """Accumulates violations, keeping the maximum-deficit one; ties go to
-    the lexicographically smallest voter tuple, then to the first offered."""
-
-    def __init__(self) -> None:
-        self.deficit: float | None = None
-        self.voters: tuple[int, ...] | None = None
-        self.payload = None
-
-    def offer(self, deficit: float, voters: tuple[int, ...], payload) -> None:
-        if self.deficit is None or deficit > self.deficit + TOL:
-            better = True
-        elif deficit < self.deficit - TOL:
-            better = False
-        else:
-            better = voters < self.voters
-        if better:
-            self.deficit, self.voters, self.payload = deficit, voters, payload
-
-    @property
-    def found(self) -> bool:
-        return self.deficit is not None
-
-
 class _GroupTable:
     """Everything the checkers need from ``(inst, profile)`` alone.
 
@@ -281,17 +259,19 @@ class _GroupTable:
         self._admit(budget, axiom)
         if axiom.family in _BJR_FAMILIES:
             return _bjr_report(self.inst, self.profile, budget, axiom)
-        # Entries come in voter-tuple order, and each holds the smallest
-        # tuple of groups that share its deficit, so this picks the
-        # witness that a sweep over every voter group would.
-        best = _BestWitness()
-        for deficit, voters, payload in self._violations(budget, axiom, False):
-            best.offer(deficit, voters, payload)
-        if not best.found:
+        # Entries come in increasing voter-tuple order, each holding the
+        # smallest tuple of the groups that share its deficit, so keeping
+        # the first violation that beats the best by more than TOL gives a
+        # tie to the smaller tuple, as a sweep over every group would.
+        best = None
+        for violation in self._violations(budget, axiom, False):
+            if best is None or violation[0] > best[0] + TOL:
+                best = violation
+        if best is None:
             return AxiomReport(axiom, True, None, BRUTE_FORCE)
-        level, common, bundle, represented, required = best.payload
+        _, voters, (level, common, bundle, represented, required) = best
         witness = AxiomWitness(
-            voters=frozenset(best.voters),
+            voters=frozenset(voters),
             level=level,
             common_items=frozenset(bits(common)),
             witness_bundle=frozenset(bits(bundle)),
@@ -395,22 +375,22 @@ def _bjr_report(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId
     else:
         candidates = list(range(inst.num_items))
 
-    best = _BestWitness()
-    need = n / denom
+    qualifying = []
     for c in candidates:
         group = tuple(i for i in unrepresented if c in profile.ballots[i])
-        if group and len(group) >= need - TOL:
-            best.offer(1.0, group, c)
-    if not best.found:
+        if group and len(group) >= n / denom - TOL:
+            qualifying.append((group, c))
+    if not qualifying:
         return AxiomReport(axiom, True, None, POLYNOMIAL)
 
-    voters = best.voters
+    # every deficit is one unit: the smallest voter tuple, then item, wins
+    voters, item = min(qualifying)
     common = frozenset.intersection(*(profile.ballots[i] for i in voters))
     witness = AxiomWitness(
         voters=frozenset(voters),
         level=1.0,
         common_items=common,
-        witness_bundle=frozenset((best.payload,)),
+        witness_bundle=frozenset((item,)),
         represented_weight=0.0,
         required_weight=1.0,
     )

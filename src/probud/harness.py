@@ -21,6 +21,7 @@ identity.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, fields
 from .errors import DuplicateItem, InvalidSpec, ParseError
@@ -199,7 +200,8 @@ class GenSpec:
     ``approval_prob``) or ``groups`` (``group_count`` voter blocs, each
     approving its own chunk of items entirely plus every other item with
     probability ``group_overlap``).  The raw limit is ``limit_fraction``
-    times the total raw cost.
+    times the total raw cost.  A field of the wrong type, a ``bool``
+    included, raises ``InvalidSpec``.
     """
 
     num_items: int
@@ -215,6 +217,12 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise InvalidSpec(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise InvalidSpec(f"{f.name} must be a number, got {value!r}")
         if self.num_items < 1:
             raise InvalidSpec("need at least one item")
         if self.num_voters < 1:
@@ -289,6 +297,8 @@ def generate_file(spec: GenSpec, name: str = "generated") -> InstanceFile:
             ballots.append(frozenset(approved))
 
     raw_limit = spec.limit_fraction * sum(costs)
+    if not math.isfinite(raw_limit):
+        raise InvalidSpec("the raw limit or the raw cost total is not a finite number")
     if raw_limit < min(costs) - TOL:
         raise InvalidSpec(
             "limit_fraction leaves a limit below one normalized unit; nothing could ever fit"

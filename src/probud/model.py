@@ -61,12 +61,6 @@ class Instance:
         order, so the same items always give the same float."""
         return sum(self.cost[i] for i in sorted(items))
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise InvalidBudget(f"unknown item name {name!r}") from None
-
 
 @dataclass(frozen=True)
 class Profile:

@@ -297,36 +297,35 @@ def gpseq(
         total += inst.cost[chosen]
 
     assignment = min_max_load(inst, profile, selected)
-    filled: list[int] = []
-    if fill_unapproved:
-        for c in sorted(range(inst.num_items), key=lambda c: (inst.cost[c], c)):
-            if c not in selected and approval_count[c] == 0 and total + inst.cost[c] <= inst.limit + TOL:
-                selected.add(c)
-                filled.append(c)
-                total += inst.cost[c]
+    unapproved = [c for c in range(inst.num_items) if approval_count[c] == 0]
+    filled = _fill(inst, selected, total, unapproved) if fill_unapproved else []
 
     budget = Budget.of(inst, selected)
     trace = RuleTrace(tuple(steps), tuple(filled), budget, assignment)
     return budget, trace
 
 
-def _fill_exhaustive(inst: Instance, selected: set[int], total: float) -> tuple[set[int], float]:
-    """Add items, cheapest first then by index, until nothing more fits."""
-    for c in sorted(range(inst.num_items), key=lambda c: (inst.cost[c], c)):
+def _fill(inst: Instance, selected: set[int], total: float, items: Iterable[int]) -> list[int]:
+    """Add to ``selected``, whose cost is ``total``, each of ``items`` that
+    still fits, cheapest first then by index; return those added in order."""
+    added = []
+    for c in sorted(items, key=lambda c: (inst.cost[c], c)):
         if c not in selected and total + inst.cost[c] <= inst.limit + TOL:
             selected.add(c)
+            added.append(c)
             total += inst.cost[c]
-    return selected, total
+    return added
 
 
 def greedy_bjr_l(inst: Instance, profile: Profile) -> Budget:
     """Greedy polynomial rule producing an exhaustive budget that
     satisfies BJR-L.
 
-    If all unit-cost items fit, take them all.  Otherwise repeatedly add
-    the unit-cost item approved by the most not-yet-represented voters,
-    retiring represented voters, until the selection reaches the rounded
-    limit; then fill to exhaustiveness.
+    If the unit-cost items do not all fit, repeatedly add the unit-cost
+    item approved by the most not-yet-represented voters, retiring
+    represented voters, until the selection reaches the rounded limit.
+    Then fill to exhaustiveness with the shared cheapest-first fill,
+    which takes every unit-cost item first when they all fit.
     """
     _require_profile(inst, profile)
     if profile.num_voters == 0:
@@ -334,12 +333,7 @@ def greedy_bjr_l(inst: Instance, profile: Profile) -> Budget:
     unit_items = [c for c in range(inst.num_items) if abs(inst.cost[c] - 1.0) <= TOL]
     selected: set[int] = set()
     total = 0.0
-    if inst.weight(unit_items) <= inst.limit + TOL:
-        for c in sorted(unit_items, key=lambda c: (inst.cost[c], c)):
-            if total + inst.cost[c] <= inst.limit + TOL:
-                selected.add(c)
-                total += inst.cost[c]
-    else:
+    if inst.weight(unit_items) > inst.limit + TOL:
         remaining = set(range(profile.num_voters))
         pool = set(unit_items)
         target = math.floor(inst.limit + TOL)
@@ -354,7 +348,7 @@ def greedy_bjr_l(inst: Instance, profile: Profile) -> Budget:
             total += inst.cost[best]
             pool.remove(best)
             remaining -= {i for i in remaining if best in profile.ballots[i]}
-    selected, total = _fill_exhaustive(inst, selected, total)
+    _fill(inst, selected, total, range(inst.num_items))
     return Budget.of(inst, selected)
 
 
@@ -366,11 +360,11 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
     limit, take a bundle with maximal support among still-unserved voters
     whenever that support meets the level's group-size threshold,
     retiring the supporters; repeat at the same level until no bundle
-    qualifies, then descend.  Finally fill to exhaustiveness.  The bundles
-    come from one walk over the feasible subsets
-    (:func:`probud._bits.subsets_within`), so an infeasible bundle is
-    never offered.  Exponential in the number of items (hard cap
-    ``MAX_CONSTRUCT_ITEMS``).
+    qualifies, then descend.  Finally fill to exhaustiveness with the
+    shared cheapest-first fill.  The bundles come from one walk over the
+    feasible subsets (:func:`probud._bits.subsets_within`), so an
+    infeasible bundle is never offered.  Exponential in the number of
+    items (hard cap ``MAX_CONSTRUCT_ITEMS``).
     """
     _require_profile(inst, profile)
     if profile.num_voters == 0:
@@ -398,6 +392,7 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
     for level in levels:
         lo = bisect_left(weights, level - TOL)
         hi = bisect_right(weights, level + TOL)
+        threshold = level * n / inst.limit - TOL
         while total + level <= inst.limit + TOL:
             best_key = None
             for idx in range(lo, hi):
@@ -406,15 +401,17 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
                 if mask & selected_mask or total + w > inst.limit + TOL:
                     continue
                 support = sum(1 for i in active if mask & ~ballot_masks[i] == 0)
+                if support < threshold:
+                    continue
                 key = (-support, mask.bit_count(), tuple(bits(mask)))
                 if best_key is None or key < best_key:
-                    best_key, best_weight, best_mask, best_support = key, w, mask, support
-            if best_key is None or best_support < level * n / inst.limit - TOL:
+                    best_key, best_weight, best_mask = key, w, mask
+            if best_key is None:
                 break
             selected_mask |= best_mask
             total += best_weight
             active = {i for i in active if best_mask & ~ballot_masks[i] != 0}
 
     selected = set(bits(selected_mask))
-    selected, total = _fill_exhaustive(inst, selected, total)
+    _fill(inst, selected, total, range(inst.num_items))
     return Budget.of(inst, selected)

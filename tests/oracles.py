@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from probud.axioms import BRUTE_FORCE, AxiomReport, AxiomWitness, max_bundle
+from probud.axioms import BRUTE_FORCE, POLYNOMIAL, AxiomReport, AxiomWitness, max_bundle
 from probud.model import TOL, AxiomId, Budget, Instance, Profile
 
 
@@ -228,6 +228,91 @@ def reference_bpjr_report(inst: Instance, profile: Profile, budget: Budget, axio
         required_weight=required,
     )
     return AxiomReport(axiom, False, witness, BRUTE_FORCE)
+
+
+def reference_bjr_report(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> AxiomReport:
+    """The BJR and Strong-BJR checkers as stated: for each candidate item
+    (any item for Strong-BJR, an item of cost 1 for BJR), its approvers
+    who approve nothing selected violate the axiom when there is at least
+    one of them and at least n / denominator in all.  The witness is the
+    smallest such voter tuple, then the smallest item."""
+    n = profile.num_voters
+    denom = inst.limit if axiom.variant == "l" else budget.total_cost
+    if denom <= TOL or n == 0:
+        return AxiomReport(axiom, True, None, POLYNOMIAL)
+    violations = []
+    for item in range(inst.num_items):
+        if axiom.family == "bjr" and abs(inst.cost[item] - 1.0) > TOL:
+            continue
+        group = tuple(
+            i for i in range(n)
+            if item in profile.ballots[i] and profile.ballots[i].isdisjoint(budget.selected)
+        )
+        if group and len(group) >= n / denom - TOL:
+            violations.append((group, item))
+    if not violations:
+        return AxiomReport(axiom, True, None, POLYNOMIAL)
+    voters, item = min(violations)
+    witness = AxiomWitness(
+        voters=frozenset(voters),
+        level=1.0,
+        common_items=frozenset.intersection(*(profile.ballots[i] for i in voters)),
+        witness_bundle=frozenset({item}),
+        represented_weight=0.0,
+        required_weight=1.0,
+    )
+    return AxiomReport(axiom, False, witness, POLYNOMIAL)
+
+
+def reference_bpjr_construct(inst: Instance, profile: Profile) -> Budget:
+    """The constructive BPJR-L procedure over itertools subsets.
+
+    The levels are the feasible bundle weights of at least 1, a weight
+    within TOL of the last level kept merged into it, taken from the top
+    down.  At each level, while the level still fits, take the disjoint
+    fitting bundle within TOL of it that the most still-active voters
+    approve entirely, ties to fewer items, then the smaller sorted index
+    tuple; it needs at least level * n / limit - TOL supporters, who are
+    then retired.  A cheapest-first fill comes last.  Bundle weights sum
+    costs in ascending item order."""
+    m, n, limit = inst.num_items, profile.num_voters, inst.limit
+    bundles = []
+    for size in range(1, m + 1):
+        for items in itertools.combinations(range(m), size):
+            weight = sum(inst.cost[i] for i in items)
+            if weight <= limit + TOL:
+                bundles.append((weight, items))
+    levels = []
+    for weight in sorted(w for w, _ in bundles):
+        if weight >= 1.0 - TOL and (not levels or weight - levels[-1] > TOL):
+            levels.append(weight)
+
+    selected, total = set(), 0.0
+    active = set(range(n))
+    for level in reversed(levels):
+        threshold = level * n / limit - TOL
+        while total + level <= limit + TOL:
+            options = []
+            for weight, items in bundles:
+                if not level - TOL <= weight <= level + TOL:
+                    continue
+                if selected.intersection(items) or total + weight > limit + TOL:
+                    continue
+                supporters = {i for i in active if profile.ballots[i].issuperset(items)}
+                if len(supporters) >= threshold:
+                    options.append(((-len(supporters), len(items), items), weight, supporters))
+            if not options:
+                break
+            (_, _, items), weight, supporters = min(options)
+            selected.update(items)
+            total += weight
+            active -= supporters
+
+    for c in sorted(range(m), key=lambda c: (inst.cost[c], c)):
+        if c not in selected and total + inst.cost[c] <= limit + TOL:
+            selected.add(c)
+            total += inst.cost[c]
+    return Budget.of(inst, selected)
 
 
 def brute_bjr_satisfied(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> bool:

@@ -10,6 +10,8 @@ from probud.model import ALL_AXIOMS, TOL, Budget, Instance, Profile
 
 #: The six axioms checked by the exponential group sweep.
 BPJR_AXIOMS = tuple(a for a in ALL_AXIOMS if a.family in ("strong-bpjr", "bpjr", "local-bpjr"))
+#: The four axioms checked by the polynomial test.
+BJR_AXIOMS = tuple(a for a in ALL_AXIOMS if a.family in ("bjr", "strong-bjr"))
 
 
 def suite_instance(seed: int, max_voters: int = 10, max_items: int = 7):

@@ -25,9 +25,10 @@ from oracles import (
     jr_satisfied,
     literal_axiom_satisfied,
     pjr_satisfied,
+    reference_bjr_report,
     reference_bpjr_report,
 )
-from suites import BPJR_AXIOMS, fitting_instance, random_feasible_budget, suite_instance, unit_instance
+from suites import BJR_AXIOMS, BPJR_AXIOMS, fitting_instance, random_feasible_budget, suite_instance, unit_instance
 
 
 # ---------------------------------------------------------------- knapsack
@@ -137,6 +138,34 @@ def test_bjr_poly_agrees_with_brute_subset_sweep():
                 got = check_bjr_poly(inst, profile, budget, axiom).satisfied
                 expected = brute_bjr_satisfied(inst, profile, budget, axiom)
                 assert got == expected, f"seed {seed} axiom {axiom}"
+
+
+def test_bjr_reports_match_the_definition_literal_reference():
+    rng = random.Random(4242)
+    violations = 0
+    for seed in range(150):
+        inst, profile = suite_instance(seed)
+        for budget in (Budget.of(inst, []), random_feasible_budget(inst, rng)):
+            for axiom in BJR_AXIOMS:
+                report = check_axiom(inst, profile, budget, axiom)
+                assert report == reference_bjr_report(inst, profile, budget, axiom), (
+                    f"seed {seed} {axiom} on {sorted(budget.selected)}"
+                )
+                violations += not report.satisfied
+    assert violations > 250
+
+
+def test_bjr_witness_is_the_smallest_voter_tuple():
+    # the unrepresented approvers of a are (1, 2), of b (0, 1), of c (1, 3):
+    # the witness is b's group, neither the first item's nor the last's
+    inst = Instance(("a", "b", "c", "d"), (1.0, 1.0, 1.0, 2.0), 2.0)
+    profile = Profile.of([{1}, {0, 1, 2}, {0}, {2}])
+    budget = Budget.of(inst, {3})
+    for axiom in BJR_AXIOMS:
+        report = check_axiom(inst, profile, budget, axiom)
+        assert report.witness.voters == frozenset({0, 1}), axiom
+        assert report.witness.witness_bundle == frozenset({1}), axiom
+        assert report == reference_bjr_report(inst, profile, budget, axiom)
 
 
 # ------------------------------------------------------------- strong BPJR

@@ -132,6 +132,21 @@ def test_gen_round_trip(tmp_path, capsys):
     assert out_path.read_text() == first
 
 
+@pytest.mark.parametrize("spec", [
+    {"m": 5, "n": 3, "limit_fraction": 1e308},
+    {"m": 5, "n": 3, "cost_model": "uniform", "cost_low": 1e308, "cost_high": 1.5e308},
+], ids=["limit", "cost-total"])
+def test_gen_refuses_a_spec_whose_raw_numbers_overflow(tmp_path, capsys, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_path = tmp_path / "inf.pb"
+    code = main(["gen", "--spec", str(spec_path), "-o", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+    assert not out_path.exists()
+
+
 def test_usage_error_exit_two(capsys):
     assert main(["check", "--axiom", "nope-l", "--budget", "", EX1]) == 2
     capsys.readouterr()

@@ -193,6 +193,15 @@ def test_genspec_validation():
         GenSpec.from_dict({"m": 3, "n": 3, "weird": 1})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("m", "5"), ("m", 5.5), ("n", True), ("group_count", 2.0), ("seed", None),
+    ("approval_prob", "0.3"), ("cost_high", None), ("group_overlap", False), ("limit_fraction", [0.5]),
+])
+def test_genspec_rejects_a_field_of_the_wrong_type(key, value):
+    with pytest.raises(InvalidSpec):
+        GenSpec.from_dict({"m": 3, "n": 3, key: value})
+
+
 def test_genspec_rejects_impossible_limit():
     with pytest.raises(InvalidSpec):
         generate(GenSpec(num_items=4, num_voters=3, cost_model="unit", limit_fraction=0.01))
@@ -202,3 +211,5 @@ def test_genspec_from_json_aliases():
     spec = GenSpec.from_json('{"m": 4, "n": 6, "cost_model": "unit", "seed": 3}')
     assert spec.num_items == 4
     assert spec.num_voters == 6
+    # an integer is a number: float fields take it as it is
+    assert GenSpec.from_json('{"m": 4, "n": 6, "cost_high": 4, "limit_fraction": 1}').cost_high == 4

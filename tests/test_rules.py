@@ -8,7 +8,7 @@ from probud.harness import GenSpec, generate, generate_file
 from probud.model import TOL, AxiomId, Instance, Profile, is_exhaustive, is_feasible, normalize
 from probud.rules import bpjr_construct, gpseq, greedy_bjr_l, min_max_load
 
-from oracles import load_cut_bound, load_lp
+from oracles import load_cut_bound, load_lp, reference_bpjr_construct
 from suites import suite_instance
 
 
@@ -409,6 +409,12 @@ def test_bpjr_construct_properties_on_random_suite():
         assert is_feasible(inst, budget)
         assert is_exhaustive(inst, budget)
         assert check_bpjr(inst, profile, budget, "l").satisfied, f"seed {seed}"
+
+
+def test_bpjr_construct_matches_the_definition_literal_reference():
+    for seed in range(120):
+        inst, profile = suite_instance(seed, max_items=8)
+        assert bpjr_construct(inst, profile) == reference_bpjr_construct(inst, profile), f"seed {seed}"
 
 
 @pytest.mark.parametrize(
