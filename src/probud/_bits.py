@@ -1,11 +1,16 @@
-"""Bitmask helpers shared by the exact subset-enumeration routines.
+"""Bitmask helpers and the one feasible-subset walk.
 
-Subset totals are summed in ascending item order here, as in
-``Instance.weight``, so the same items always give the same float.
+:func:`subsets_within` is the only walk over item subsets in the package:
+budget enumeration, the CLI's ``enumerate`` and the constructive BPJR-L
+rule all read its ``(indices, mask, total)`` triples, and it decides
+exhaustiveness in one comparison per subset.  Subset totals are summed
+in ascending item order here, as in ``Instance.weight``, so the same
+items always give the same float.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Iterable, Iterator, Sequence
 
 
@@ -25,24 +30,48 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def subsets_within(costs: Sequence[float], bound: float) -> Iterator[tuple[int, float]]:
+def subsets_within(
+    costs: Sequence[float], bound: float, exhaustive_only: bool = False
+) -> Iterator[tuple[tuple[int, ...], int, float]]:
     """Every item subset costing at most ``bound`` (non-negative), as
-    ``(mask, total)``, in lexicographic order of the sorted index tuples.
+    ``(indices, mask, total)`` with ``indices`` the sorted index tuple, in
+    lexicographic order of those tuples; with ``exhaustive_only``, just
+    the subsets to which no further item can be added.
 
     A preorder walk from an explicit stack, extending each subset only by
     items above its largest; no 2^m table is built.  Costs must be
     positive: a rounded sum then never shrinks as items are added, so a
     branch is pruned exactly when its next item passes the bound.
+
+    Each stack entry also carries the cost of the cheapest item *skipped*
+    so far: below the subset's largest item but not in it.  The items
+    outside a subset are those skipped and those above its largest, and
+    one of the latter fits iff the subset pushes a child.  So a subset is
+    exhaustive iff it pushes no child and ``total + cheapest_skipped``
+    passes the bound.  One comparison stands for all the skipped items
+    because a rounded sum is monotone in the added cost: if the cheapest
+    one does not fit, none does.
     """
     m = len(costs)
-    stack = [(0, 0.0, 0)]
+    # below[s][k]: the cheapest of items s..k-1, which a subset whose
+    # children start at s skips when it takes k
+    below = [[min(costs[s:k], default=inf) for k in range(m)] for s in range(m + 1)]
+    # children are pushed last to first, so that they pop in order
+    descending = [range(m - 1, s - 1, -1) for s in range(m + 1)]
+    stack = [((), 0, 0.0, 0, inf)]
+    pop, push = stack.pop, stack.append
     while stack:
-        mask, total, start = stack.pop()
-        yield mask, total
-        for k in range(m - 1, start - 1, -1):  # pushed last to first, so popped in order
+        indices, mask, total, start, skipped = pop()
+        depth = len(stack)
+        row = below[start]
+        for k in descending[start]:
             extended = total + costs[k]
             if extended <= bound:
-                stack.append((mask | 1 << k, extended, k + 1))
+                cheapest = row[k]
+                push((indices + (k,), mask | 1 << k, extended, k + 1,
+                      cheapest if cheapest < skipped else skipped))
+        if not exhaustive_only or (len(stack) == depth and not total + skipped <= bound):
+            yield indices, mask, total
 
 
 class MaskWeights(dict):

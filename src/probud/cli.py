@@ -11,6 +11,7 @@ README.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -23,13 +24,12 @@ _AXIOM_CHOICES = tuple(str(axiom) for axiom in ALL_AXIOMS)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except TooLargeForExact as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -42,7 +42,10 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand names
+    its handler, looked up in this module when it runs."""
     parser = argparse.ArgumentParser(
         prog="probud",
         description="Proportional budgeting rules and axiom checkers for approval-based participatory budgeting.",
@@ -58,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="show per-step candidates and tie sets")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_solve)
+    p.set_defaults(handler="_cmd_solve")
 
     p = sub.add_parser("check", help="check one axiom for a given budget")
     p.add_argument("--axiom", required=True, choices=_AXIOM_CHOICES)
@@ -66,20 +69,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated item ids (empty string for the empty budget)")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_check)
+    p.set_defaults(handler="_cmd_check")
 
     p = sub.add_parser("enumerate", help="list all feasible budgets")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_enumerate)
+    p.set_defaults(handler="_cmd_enumerate")
 
     p = sub.add_parser("certify", help="sweep all feasible budgets for an axiom")
     p.add_argument("--axiom", required=True, choices=_AXIOM_CHOICES)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_certify)
+    p.set_defaults(handler="_cmd_certify")
 
     p = sub.add_parser("verify-implications",
                        help="check the axiom implication lattice over enumerated budgets")
@@ -87,13 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use all feasible budgets instead of only exhaustive ones")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler="_cmd_verify")
 
     p = sub.add_parser("gen", help="generate a random instance file")
     p.add_argument("--spec", required=True, help="JSON generator spec file")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--json", action="store_true", dest="as_json")
-    p.set_defaults(handler=_cmd_gen)
+    p.set_defaults(handler="_cmd_gen")
 
     return parser
 
@@ -245,17 +248,24 @@ def _cmd_check(args) -> int:
 def _cmd_enumerate(args) -> int:
     f = _load(args.file)
     inst, _ = f.to_model()
-    budgets = oracle.enumerate_feasible(inst, exhaustive_only=args.exhaustive)
-    record = {
-        "command": "enumerate",
-        "file": args.file,
-        "exhaustive_only": bool(args.exhaustive),
-        "count": len(budgets),
-        "budgets": [_budget_names(f, b) for b in budgets],
-    }
-    lines = [f"{'exhaustive ' if args.exhaustive else ''}feasible budgets: {len(budgets)}"]
-    lines += ["  {" + ", ".join(names) + "}" for names in record["budgets"]]
-    _emit(record, args.as_json, lines)
+    names = f.item_ids
+    budgets = [
+        [names[i] for i in indices]
+        for indices, _, _ in oracle._feasible_subsets(inst, exhaustive_only=args.exhaustive)
+    ]
+    if args.as_json:  # human lines would be built only to be dropped
+        record = {
+            "command": "enumerate",
+            "file": args.file,
+            "exhaustive_only": bool(args.exhaustive),
+            "count": len(budgets),
+            "budgets": budgets,
+        }
+        print(json.dumps(record))
+    else:
+        lines = [f"{'exhaustive ' if args.exhaustive else ''}feasible budgets: {len(budgets)}"]
+        lines += ["  {" + ", ".join(budget) + "}" for budget in budgets]
+        print("\n".join(lines))
     return 0
 
 

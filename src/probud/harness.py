@@ -73,6 +73,7 @@ def parse_instance_file(text: str) -> InstanceFile:
     raw_costs: list[float] = []
     id_to_index: dict[str, int] = {}
     voter_ids: list[str] = []
+    seen_voters: set[str] = set()
     ballots: list[frozenset[int]] = []
 
     for lineno, raw_line in enumerate(text.splitlines(), 1):
@@ -120,7 +121,7 @@ def parse_instance_file(text: str) -> InstanceFile:
             voter_id = parts[0]
             if not voter_id:
                 raise ParseError("missing voter id", lineno)
-            if voter_id in voter_ids:
+            if voter_id in seen_voters:
                 raise ParseError(f"duplicate voter id {voter_id!r}", lineno)
             approved = set()
             for token in parts[1:]:
@@ -129,6 +130,7 @@ def parse_instance_file(text: str) -> InstanceFile:
                 if token not in id_to_index:
                     raise ParseError(f"unknown item id {token!r}", lineno)
                 approved.add(id_to_index[token])
+            seen_voters.add(voter_id)
             voter_ids.append(voter_id)
             ballots.append(frozenset(approved))
 

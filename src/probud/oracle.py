@@ -1,22 +1,36 @@
 """Brute-force ground truth for desk-scale instances.
 
 Enumerates every feasible budget by one pruned walk over the subsets
-that fit, certifies for which budgets an axiom holds (in particular
-whether any satisfying budget exists at all), and cross-checks the
-implication lattice between the ten axioms.
+that fit (:func:`probud._bits.subsets_within`), certifies for which
+budgets an axiom holds (in particular whether any satisfying budget
+exists at all), and cross-checks the implication lattice between the ten
+axioms.  The walk yields sorted index tuples and decides exhaustiveness
+with one comparison per subset, so :func:`enumerate_feasible` builds each
+``Budget`` straight from a tuple and the CLI's ``enumerate`` writes item
+names from the same tuples without building budgets at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from ._bits import bits, subsets_within
+from ._bits import subsets_within
 from .axioms import _GroupTable, implied_by, recheck_witness
 from .errors import TooLargeForExact
 from .model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile
 
 #: Hard cap on items for full budget enumeration.
 MAX_ENUM_ITEMS = 20
+
+#: Every implication edge ``(stronger, weaker)`` of the axiom lattice,
+#: in ``ALL_AXIOMS`` order of the stronger axiom and then the weaker.
+_IMPLICATION_PAIRS = tuple(
+    (stronger, weaker)
+    for stronger in ALL_AXIOMS
+    for weaker in ALL_AXIOMS
+    if weaker != stronger and implied_by(weaker, stronger)
+)
 
 
 @dataclass(frozen=True)
@@ -35,21 +49,24 @@ def enumerate_feasible(inst: Instance, exhaustive_only: bool = False) -> list[Bu
     """All feasible budgets, optionally restricted to exhaustive ones, in
     lexicographic order of their sorted index tuples; memory grows with
     their number, not with 2^m."""
+    return [
+        Budget(frozenset(indices), total)
+        for indices, _, total in _feasible_subsets(inst, exhaustive_only)
+    ]
+
+
+def _feasible_subsets(
+    inst: Instance, exhaustive_only: bool = False
+) -> Iterator[tuple[tuple[int, ...], int, float]]:
+    """The walk behind :func:`enumerate_feasible`, as ``(indices, mask,
+    total)`` triples (:func:`probud._bits.subsets_within`), for callers
+    that need no :class:`Budget`; enforces ``MAX_ENUM_ITEMS`` at once."""
     m = inst.num_items
     if m > MAX_ENUM_ITEMS:
         raise TooLargeForExact(
             f"budget enumeration supports at most {MAX_ENUM_ITEMS} items, got {m}"
         )
-    cost, bound = inst.cost, inst.limit + TOL
-    addable = range(m) if exhaustive_only else ()
-    budgets = []
-    for mask, total in subsets_within(cost, bound):
-        for c in addable:
-            if not (mask >> c) & 1 and total + cost[c] <= bound:
-                break  # c still fits: not exhaustive
-        else:
-            budgets.append(Budget(frozenset(bits(mask)), total))
-    return budgets
+    return subsets_within(inst.cost, inst.limit + TOL, exhaustive_only)
 
 
 def certify_existence(
@@ -92,12 +109,9 @@ def verify_implications(
     violations: list[tuple[Budget, AxiomId, AxiomId]] = []
     for budget in budgets:
         satisfied = table.verdicts(budget)
-        for stronger in ALL_AXIOMS:
-            if not satisfied[stronger]:
-                continue
-            for weaker in ALL_AXIOMS:
-                if weaker != stronger and implied_by(weaker, stronger) and not satisfied[weaker]:
-                    violations.append((budget, stronger, weaker))
+        for stronger, weaker in _IMPLICATION_PAIRS:
+            if satisfied[stronger] and not satisfied[weaker]:
+                violations.append((budget, stronger, weaker))
     return violations
 
 

@@ -376,7 +376,7 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
         )
     n = profile.num_voters
 
-    pairs = sorted((w, mask) for mask, w in subsets_within(inst.cost, inst.limit + TOL))
+    pairs = sorted((w, mask) for _, mask, w in subsets_within(inst.cost, inst.limit + TOL))
     weights = [w for w, _ in pairs]
 
     levels: list[float] = []

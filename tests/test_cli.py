@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from probud import axioms, cli, harness, rules
+from probud import axioms, cli, harness, oracle, rules
 from probud.cli import main
 from probud.model import Budget
 
@@ -97,6 +98,53 @@ def test_enumerate_json(capsys):
     record = json.loads(out)
     assert record["count"] == 2
     assert record["budgets"] == [["c1", "c3"], ["c2", "c3"]]
+
+
+@pytest.fixture(scope="module")
+def m14_file(tmp_path_factory):
+    spec = harness.GenSpec(num_items=14, num_voters=5, cost_model="uniform", limit_fraction=0.4, seed=5)
+    path = tmp_path_factory.mktemp("enum") / "m14.pb"
+    path.write_text(harness.serialize_instance_file(harness.generate_file(spec)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["feasible", "exhaustive"])
+@pytest.mark.parametrize("which", ["ex1", "ex2", "m14"])
+def test_enumerate_json_matches_library_byte_for_byte(capsys, m14_file, which, exhaustive):
+    path = {"ex1": EX1, "ex2": EX2, "m14": m14_file}[which]
+    code, out = run(capsys, "enumerate", path, "--json", *(["--exhaustive"] if exhaustive else []))
+    assert code == 0
+    f = harness.parse_instance_file(Path(path).read_text(encoding="utf-8"))
+    inst, _ = f.to_model()
+    budgets = oracle.enumerate_feasible(inst, exhaustive_only=exhaustive)
+    expected = {
+        "command": "enumerate",
+        "file": path,
+        "exhaustive_only": exhaustive,
+        "count": len(budgets),
+        "budgets": [[f.item_ids[i] for i in sorted(b.selected)] for b in budgets],
+    }
+    want = json.dumps(expected) + "\n"
+    if out != want:  # pytest's own diff of two long one-line strings runs for minutes
+        at = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b), min(len(out), len(want)))
+        pytest.fail(f"output differs at character {at}: {out[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
+
+
+def test_enumerate_human_output(capsys):
+    code, out = run(capsys, "enumerate", EX1)
+    assert code == 0
+    assert out == (
+        "feasible budgets: 6\n"
+        "  {}\n"
+        "  {c1}\n"
+        "  {c1, c3}\n"
+        "  {c2}\n"
+        "  {c2, c3}\n"
+        "  {c3}\n"
+    )
+    code, out = run(capsys, "enumerate", "--exhaustive", EX1)
+    assert code == 0
+    assert out == "exhaustive feasible budgets: 2\n  {c1, c3}\n  {c2, c3}\n"
 
 
 def test_certify_nonexistence_json(capsys):
@@ -203,3 +251,14 @@ def test_unexpected_exception_exits_two_with_one_line_error(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: unexpected ValueError: math domain error second line\n"
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    code, out = run(capsys, "solve", "--rule", "gpseq", EX2, "--trace", "--json")
+    assert code == 0
+    assert json.loads(out)["steps"] is not None
+    code, out = run(capsys, "solve", "--rule", "gpseq", EX2, "--json")
+    assert code == 0
+    assert json.loads(out)["steps"] is None
+    assert main(["solve", "--rule", "nope", EX2]) == 2
+    assert capsys.readouterr().out == ""

@@ -68,6 +68,15 @@ def test_parse_duplicate_item_id():
         parse_instance_file(text)
 
 
+def test_parse_duplicate_voter_id_names_its_line():
+    voters = [f"v{i}, a" for i in range(49_999)] + ["v7, a"]  # the 50,000th repeats v7
+    text = "[meta]\nlimit = 2\n[items]\na, a, 1\n[ballots]\n" + "\n".join(voters) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance_file(text)
+    assert err.value.line == 50_005
+    assert str(err.value) == "line 50005: duplicate voter id 'v7'"
+
+
 def test_parse_rejects_wrong_counts():
     text = "[meta]\nlimit = 2\nm = 5\n[items]\na, a, 1\n[ballots]\n"
     with pytest.raises(ParseError):

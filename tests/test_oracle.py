@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from probud.errors import TooLargeForExact
 from probud.harness import GenSpec, generate
-from probud.model import TOL, AxiomId, Budget, Instance, normalize
+from probud.model import TOL, AxiomId, Budget, Instance, is_exhaustive, normalize
 from probud.oracle import (
     certify_existence,
     enumerate_feasible,
@@ -33,6 +34,36 @@ def test_enumerate_unit_costs_full_set_is_only_exhaustive():
     inst = Instance(("a", "b", "c"), (1.0, 1.0, 1.0), 3.0)
     budgets = enumerate_feasible(inst, exhaustive_only=True)
     assert [sorted(b.selected) for b in budgets] == [[0, 1, 2]]
+
+
+def test_enumerate_exhaustive_at_the_bound():
+    inst = Instance(("a", "b", "c"), (1.0, 1.0, 1.0), 2.0 - TOL)
+    assert inst.limit + TOL == 2.0  # so {c} plus the skipped a lands exactly on the bound
+    budgets = enumerate_feasible(inst, exhaustive_only=True)
+    assert [sorted(b.selected) for b in budgets] == [[0, 1], [0, 2], [1, 2]]
+
+
+@st.composite
+def _instances_on_the_bound(draw):
+    """Small instances whose bound ``limit + TOL`` is often exactly the
+    total of some subset."""
+    costs = draw(st.lists(
+        st.one_of(st.sampled_from((1.0, 1.25, 1.5, 2.0, 3.0)), st.floats(1.0, 4.0)),
+        max_size=6,
+    ))
+    costs.insert(draw(st.integers(0, len(costs))), 1.0)
+    subset = draw(st.sets(st.sampled_from(range(len(costs)))))
+    total = sum(costs[i] for i in sorted(subset))
+    limit = draw(st.one_of(st.just(max(total - TOL, 0.0)), st.floats(0.0, sum(costs))))
+    return Instance(tuple(f"c{j}" for j in range(len(costs))), tuple(costs), limit)
+
+
+@given(_instances_on_the_bound())
+def test_exhaustive_enumeration_agrees_with_is_exhaustive(inst):
+    feasible = enumerate_feasible(inst)
+    assert enumerate_feasible(inst, exhaustive_only=True) == [
+        budget for budget in feasible if is_exhaustive(inst, budget)
+    ]
 
 
 def test_enumerate_is_sorted_lexicographically(ex2):
