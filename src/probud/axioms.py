@@ -200,14 +200,14 @@ class _GroupTable:
     """Everything the checkers need from ``(inst, profile)`` alone.
 
     Built once per public call and shared by every budget that call
-    checks: memoized subset weights, one knapsack cache keyed by (item
-    mask, cap), and, on first use, the cohesive groups of
-    :func:`_cohesive_groups` and their largest-size classes.  Nothing in
-    it outlives the call.
+    checks: each item's approver mask, memoized subset weights, one
+    knapsack cache keyed by (item mask, cap), and, on first use, the
+    cohesive groups of :func:`_cohesive_groups` and their largest-size
+    classes.  Nothing in it outlives the call.
     """
 
     def __init__(self, inst: Instance, profile: Profile) -> None:
-        _require_profile(inst, profile)
+        self.approvers = _require_profile(inst, profile)
         self.inst = inst
         self.profile = profile
         self.n = profile.num_voters
@@ -217,7 +217,9 @@ class _GroupTable:
     @cached_property
     def groups(self) -> list[tuple[tuple[int, ...], int, int]]:
         """One entry per (common, union, size), in voter-tuple order."""
-        return _cohesive_groups([mask_of(b) for b in self.profile.ballots])
+        # each voter's ballot as an item mask, read off the approver masks
+        return _cohesive_groups([mask_of(c for c, voters in enumerate(self.approvers) if voters >> v & 1)
+                                 for v in range(self.n)])
 
     @cached_property
     def classes(self) -> list[tuple[tuple[int, ...], int, int]]:
@@ -258,7 +260,7 @@ class _GroupTable:
         """The checker's report, witness included, for one budget."""
         self._admit(budget, axiom)
         if axiom.family in _BJR_FAMILIES:
-            return _bjr_report(self.inst, self.profile, budget, axiom)
+            return self._bjr_report(budget, axiom)
         # Entries come in increasing voter-tuple order, each holding the
         # smallest tuple of the groups that share its deficit, so keeping
         # the first violation that beats the best by more than TOL gives a
@@ -284,7 +286,7 @@ class _GroupTable:
         """The verdict alone: stops at the first violating class."""
         self._admit(budget, axiom)
         if axiom.family in _BJR_FAMILIES:
-            return _bjr_report(self.inst, self.profile, budget, axiom).satisfied
+            return self._bjr_report(budget, axiom).satisfied
         return next(self._violations(budget, axiom, True), None) is None
 
     def verdicts(self, budget: Budget) -> dict[AxiomId, bool]:
@@ -298,6 +300,39 @@ class _GroupTable:
             raise TooLargeForExact(
                 f"exact subset sweep supports at most {MAX_EXACT_VOTERS} voters, got {self.n}"
             )
+
+    def _bjr_report(self, budget: Budget, axiom: AxiomId) -> AxiomReport:
+        """:func:`check_bjr_poly` on a budget already admitted."""
+        inst, n = self.inst, self.n
+        denom = inst.limit if axiom.variant == "l" else budget.total_cost
+        if denom <= TOL:
+            return AxiomReport(axiom, True, None, POLYNOMIAL)
+
+        represented = 0
+        for c in budget.selected:
+            represented |= self.approvers[c]
+        qualifying = []
+        for c, voters in enumerate(self.approvers):
+            if axiom.family == "bjr" and abs(inst.cost[c] - 1.0) > TOL:
+                continue  # plain BJR owes only unit-cost items
+            group = voters & ~represented
+            if group and group.bit_count() >= n / denom - TOL:
+                qualifying.append((tuple(bits(group)), c))
+        if not qualifying:
+            return AxiomReport(axiom, True, None, POLYNOMIAL)
+
+        # every deficit is one unit: the smallest voter tuple, then item, wins
+        voters, item = min(qualifying)
+        common = frozenset.intersection(*(self.profile.ballots[i] for i in voters))
+        witness = AxiomWitness(
+            voters=frozenset(voters),
+            level=1.0,
+            common_items=common,
+            witness_bundle=frozenset((item,)),
+            represented_weight=0.0,
+            required_weight=1.0,
+        )
+        return AxiomReport(axiom, False, witness, POLYNOMIAL)
 
     def _violations(self, budget: Budget, axiom: AxiomId, verdict_only: bool) -> Iterator[tuple]:
         """The violating entries of one BPJR-family axiom, in entry order,
@@ -359,42 +394,6 @@ class _GroupTable:
                 extension, extra = self.heaviest(rest, cap - represented)
                 level = represented + extension
                 yield extension, voters, (level, common, represented_mask | extra, represented, level)
-
-
-def _bjr_report(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> AxiomReport:
-    """:func:`check_bjr_poly` on a budget already admitted."""
-    n = profile.num_voters
-    denom = inst.limit if axiom.variant == "l" else budget.total_cost
-    if denom <= TOL or n == 0:
-        return AxiomReport(axiom, True, None, POLYNOMIAL)
-
-    selected = budget.selected
-    unrepresented = [i for i, ballot in enumerate(profile.ballots) if not (ballot & selected)]
-    if axiom.family == "bjr":
-        candidates = [c for c in range(inst.num_items) if abs(inst.cost[c] - 1.0) <= TOL]
-    else:
-        candidates = list(range(inst.num_items))
-
-    qualifying = []
-    for c in candidates:
-        group = tuple(i for i in unrepresented if c in profile.ballots[i])
-        if group and len(group) >= n / denom - TOL:
-            qualifying.append((group, c))
-    if not qualifying:
-        return AxiomReport(axiom, True, None, POLYNOMIAL)
-
-    # every deficit is one unit: the smallest voter tuple, then item, wins
-    voters, item = min(qualifying)
-    common = frozenset.intersection(*(profile.ballots[i] for i in voters))
-    witness = AxiomWitness(
-        voters=frozenset(voters),
-        level=1.0,
-        common_items=common,
-        witness_bundle=frozenset((item,)),
-        represented_weight=0.0,
-        required_weight=1.0,
-    )
-    return AxiomReport(axiom, False, witness, POLYNOMIAL)
 
 
 def check_bjr_poly(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> AxiomReport:

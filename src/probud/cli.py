@@ -167,9 +167,7 @@ def _cmd_solve(args) -> int:
     ]
     if max_loads is not None:
         if args.trace:
-            budget_so_far: list[str] = []
             for k, step in enumerate(trace.steps, 1):
-                budget_so_far.append(f.item_ids[step.chosen])
                 cand = ", ".join(f"{f.item_ids[c]}={_fmt(step.loads[c])}" for c in sorted(step.loads))
                 ties = ", ".join(f.item_ids[c] for c in sorted(step.tie_set))
                 lines.append(

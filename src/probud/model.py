@@ -97,9 +97,7 @@ class Budget:
     def of(cls, inst: Instance, items: Iterable[int]) -> "Budget":
         """Build a budget over ``inst``, validating the item indices."""
         selected = frozenset(items)
-        for i in selected:
-            if not 0 <= i < inst.num_items:
-                raise InvalidBudget(f"item index {i} out of range")
+        _require_items(inst, selected)
         return cls(selected, inst.weight(selected))
 
 
@@ -195,10 +193,16 @@ def is_exhaustive(inst: Instance, budget: Budget) -> bool:
     return True
 
 
-def _require_budget(inst: Instance, budget: Budget) -> None:
-    for i in budget.selected:
+def _require_items(inst: Instance, items: Iterable[int]) -> None:
+    for i in items:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise InvalidBudget(f"item index {i!r} is not an integer")
         if not 0 <= i < inst.num_items:
             raise InvalidBudget(f"item index {i} out of range")
+
+
+def _require_budget(inst: Instance, budget: Budget) -> None:
+    _require_items(inst, budget.selected)
     # every "w" entitlement is measured against total_cost; a caller's
     # total summed in another order may differ by rounding, relative to size
     weight = inst.weight(budget.selected)
@@ -208,9 +212,17 @@ def _require_budget(inst: Instance, budget: Budget) -> None:
         )
 
 
-def _require_profile(inst: Instance, profile: Profile) -> None:
+def _require_profile(inst: Instance, profile: Profile) -> list[int]:
+    """Check every ballot against ``inst``; return each item's approving
+    voters as a bitmask (bit ``v`` for voter ``v``), the one approver view
+    that the rules and checkers read after checking once per public call."""
     m = inst.num_items
+    approvers = [0] * m
     for voter, ballot in enumerate(profile.ballots):
         for i in ballot:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise InvalidProfile(f"voter {voter} approves non-integer item index {i!r}")
             if not 0 <= i < m:
                 raise InvalidProfile(f"voter {voter} approves unknown item index {i}")
+            approvers[i] |= 1 << voter
+    return approvers

@@ -24,9 +24,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ._bits import bits, mask_of, subsets_within
-from .errors import InvalidBudget, InvalidProfile, NoApprover, TooLargeForExact
-from .model import TOL, Budget, Instance, Profile, _require_profile
+from ._bits import bits, subsets_within
+from .errors import InvalidProfile, NoApprover, TooLargeForExact
+from .model import TOL, Budget, Instance, Profile, _require_items, _require_profile
 
 #: Recognized tie-breaking policies for the sequential rule.
 TIE_POLICIES = ("lex", "cheapest", "most-approved")
@@ -166,12 +166,16 @@ def min_max_load(inst: Instance, profile: Profile, selected: Iterable[int]) -> L
     type's share split equally among its voters.
     """
     _require_profile(inst, profile)
-    items = sorted(set(selected))
-    for c in items:
-        if not 0 <= c < inst.num_items:
-            raise InvalidBudget(f"item index {c} out of range")
+    chosen = frozenset(selected)
+    _require_items(inst, chosen)
+    return _min_max_load(inst, profile, chosen)
+
+
+def _min_max_load(inst: Instance, profile: Profile, selected: Iterable[int]) -> LoadAssignment:
+    """:func:`min_max_load` on a checked profile and item set."""
+    chosen = frozenset(selected)
+    items = sorted(chosen)
     n = profile.num_voters
-    chosen = frozenset(items)
     # ballot types: voters grouped by their ballot restricted to the selection
     types: dict[frozenset[int], list[int]] = {}
     for i, ballot in enumerate(profile.ballots):
@@ -240,13 +244,13 @@ def min_max_load(inst: Instance, profile: Profile, selected: Iterable[int]) -> L
     return LoadAssignment(spread, tuple(voter_load), best, tight)
 
 
-def _tie_key(policy: str, inst: Instance, approval_count: Sequence[int]):
+def _tie_key(policy: str, inst: Instance, approvers: Sequence[int]):
     if policy == "lex":
         return lambda c: c
     if policy == "cheapest":
         return lambda c: (inst.cost[c], c)
     if policy == "most-approved":
-        return lambda c: (-approval_count[c], c)
+        return lambda c: (-approvers[c].bit_count(), c)
     raise ValueError(f"unknown tie policy {policy!r}; expected one of {TIE_POLICIES}")
 
 
@@ -264,14 +268,10 @@ def gpseq(
     ``tie``).  With ``fill_unapproved``, a post-processing pass then adds
     items nobody approves, cheapest first, while they fit.
     """
-    _require_profile(inst, profile)
+    approvers = _require_profile(inst, profile)
     if profile.num_voters == 0:
         raise InvalidProfile("the sequential rule needs at least one voter")
-    approval_count = [0] * inst.num_items
-    for ballot in profile.ballots:
-        for c in ballot:
-            approval_count[c] += 1
-    key = _tie_key(tie, inst, approval_count)
+    key = _tie_key(tie, inst, approvers)
 
     selected: set[int] = set()
     total = 0.0
@@ -281,13 +281,13 @@ def gpseq(
             c
             for c in range(inst.num_items)
             if c not in selected
-            and approval_count[c] > 0
+            and approvers[c]
             and total + inst.cost[c] <= inst.limit + TOL
         ]
         if not candidates:
             break
         loads = {
-            c: min_max_load(inst, profile, selected | {c}).max_load for c in candidates
+            c: _min_max_load(inst, profile, selected | {c}).max_load for c in candidates
         }
         smallest = min(loads.values())
         tie_set = frozenset(c for c in candidates if loads[c] <= smallest + TOL)
@@ -296,8 +296,8 @@ def gpseq(
         selected.add(chosen)
         total += inst.cost[chosen]
 
-    assignment = min_max_load(inst, profile, selected)
-    unapproved = [c for c in range(inst.num_items) if approval_count[c] == 0]
+    assignment = _min_max_load(inst, profile, selected)
+    unapproved = [c for c in range(inst.num_items) if not approvers[c]]
     filled = _fill(inst, selected, total, unapproved) if fill_unapproved else []
 
     budget = Budget.of(inst, selected)
@@ -327,27 +327,24 @@ def greedy_bjr_l(inst: Instance, profile: Profile) -> Budget:
     Then fill to exhaustiveness with the shared cheapest-first fill,
     which takes every unit-cost item first when they all fit.
     """
-    _require_profile(inst, profile)
+    approvers = _require_profile(inst, profile)
     if profile.num_voters == 0:
         raise InvalidProfile("greedy_bjr_l needs at least one voter")
     unit_items = [c for c in range(inst.num_items) if abs(inst.cost[c] - 1.0) <= TOL]
     selected: set[int] = set()
     total = 0.0
     if inst.weight(unit_items) > inst.limit + TOL:
-        remaining = set(range(profile.num_voters))
+        remaining = (1 << profile.num_voters) - 1
         pool = set(unit_items)
         target = math.floor(inst.limit + TOL)
         while total < target - TOL and pool:
-            best = min(
-                pool,
-                key=lambda c: (-sum(1 for i in remaining if c in profile.ballots[i]), c),
-            )
+            best = min(pool, key=lambda c: (-(approvers[c] & remaining).bit_count(), c))
             if total + inst.cost[best] > inst.limit + TOL:
                 break
             selected.add(best)
             total += inst.cost[best]
             pool.remove(best)
-            remaining -= {i for i in remaining if best in profile.ballots[i]}
+            remaining &= ~approvers[best]
     _fill(inst, selected, total, range(inst.num_items))
     return Budget.of(inst, selected)
 
@@ -366,7 +363,7 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
     infeasible bundle is never offered.  Exponential in the number of
     items (hard cap ``MAX_CONSTRUCT_ITEMS``).
     """
-    _require_profile(inst, profile)
+    approvers = _require_profile(inst, profile)
     if profile.num_voters == 0:
         raise InvalidProfile("bpjr_construct needs at least one voter")
     m = inst.num_items
@@ -385,8 +382,7 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
             levels.append(w)
     levels.reverse()
 
-    ballot_masks = [mask_of(ballot) for ballot in profile.ballots]
-    active = set(range(n))
+    active = (1 << n) - 1  # voters not yet served, as a bitmask
     selected_mask = 0
     total = 0.0
     for level in levels:
@@ -400,17 +396,20 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
                 # a level's weights may sit a tolerance above it
                 if mask & selected_mask or total + w > inst.limit + TOL:
                     continue
-                support = sum(1 for i in active if mask & ~ballot_masks[i] == 0)
+                supporters = active
+                for c in bits(mask):
+                    supporters &= approvers[c]
+                support = supporters.bit_count()
                 if support < threshold:
                     continue
                 key = (-support, mask.bit_count(), tuple(bits(mask)))
                 if best_key is None or key < best_key:
-                    best_key, best_weight, best_mask = key, w, mask
+                    best_key, best_weight, best_mask, retired = key, w, mask, supporters
             if best_key is None:
                 break
             selected_mask |= best_mask
             total += best_weight
-            active = {i for i in active if best_mask & ~ballot_masks[i] != 0}
+            active &= ~retired
 
     selected = set(bits(selected_mask))
     _fill(inst, selected, total, range(inst.num_items))

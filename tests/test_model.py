@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from probud.errors import InvalidBudget, InvalidCost, InvalidLimit
+from probud.axioms import check_axiom, evaluate_axioms
+from probud.errors import InvalidBudget, InvalidCost, InvalidLimit, InvalidProfile
 from probud.model import (
     ALL_AXIOMS,
     TOL,
@@ -16,6 +17,7 @@ from probud.model import (
     is_feasible,
     normalize,
 )
+from probud.rules import bpjr_construct, gpseq, greedy_bjr_l, min_max_load
 
 from suites import suite_instance
 
@@ -114,6 +116,38 @@ def test_is_feasible_rejects_unknown_item(ex1):
     _, inst, _ = ex1
     with pytest.raises(InvalidBudget):
         is_feasible(inst, Budget(frozenset([7]), 1.0))
+
+
+NOT_INDICES = pytest.mark.parametrize("index", [0.5, 1.0, "a", True])
+
+
+@NOT_INDICES
+def test_a_ballot_naming_a_non_integer_index_is_rejected(index):
+    inst = Instance(("a", "b"), (1.0, 1.0), 2.0)
+    profile = Profile.of([[index], [0]])
+    budget = Budget.of(inst, [0])
+    calls = [
+        lambda: gpseq(inst, profile),
+        lambda: greedy_bjr_l(inst, profile),
+        lambda: bpjr_construct(inst, profile),
+        lambda: min_max_load(inst, profile, [0]),
+        lambda: check_axiom(inst, profile, budget, AxiomId("bjr", "l")),
+        lambda: evaluate_axioms(inst, profile, budget),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidProfile, match="non-integer"):
+            call()
+
+
+@NOT_INDICES
+def test_a_budget_naming_a_non_integer_index_is_rejected(index):
+    inst = Instance(("a", "b"), (1.0, 1.0), 2.0)
+    with pytest.raises(InvalidBudget, match="not an integer"):
+        Budget.of(inst, [index])
+    with pytest.raises(InvalidBudget, match="not an integer"):
+        is_feasible(inst, Budget(frozenset([index]), 1.0))
+    with pytest.raises(InvalidBudget, match="not an integer"):
+        min_max_load(inst, Profile.of([[0, 1]]), [index])
 
 
 @pytest.mark.parametrize("total", [0.0, 2.0, 1.0 + 1e-6, math.nan])

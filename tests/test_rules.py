@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from probud.axioms import check_bjr_poly, check_bpjr, check_local_bpjr
+from probud.axioms import check_bjr_poly, check_bpjr, check_local_bpjr, evaluate_axioms
 from probud.errors import InvalidProfile, NoApprover
 from probud.harness import GenSpec, generate, generate_file
-from probud.model import TOL, AxiomId, Instance, Profile, is_exhaustive, is_feasible, normalize
+from probud.model import TOL, AxiomId, Budget, Instance, Profile, is_exhaustive, is_feasible, normalize
+from probud.oracle import enumerate_feasible
 from probud.rules import bpjr_construct, gpseq, greedy_bjr_l, min_max_load
 
 from oracles import load_cut_bound, load_lp, reference_bpjr_construct
@@ -192,6 +193,22 @@ def test_gpseq_tiebreak_policies(ex3):
     assert trace.steps[0].loads[1] == pytest.approx(0.5, abs=1e-6)
 
 
+def test_gpseq_checks_its_profile_once(monkeypatch, ex2):
+    import probud.rules
+
+    checks = []
+    require = probud.rules._require_profile
+    monkeypatch.setattr(
+        probud.rules, "_require_profile", lambda inst, profile: checks.append(1) or require(inst, profile)
+    )
+    _, inst, profile = ex2
+    for tie in ("lex", "most-approved"):
+        checks.clear()
+        _, trace = gpseq(inst, profile, tie=tie, fill_unapproved=True)
+        assert len(trace.steps) == 2
+        assert len(checks) == 1, tie
+
+
 def test_gpseq_rejects_empty_profile(ex1):
     _, inst, _ = ex1
     with pytest.raises(InvalidProfile):
@@ -305,12 +322,14 @@ def _assert_same_run(first, second):
     )
 
 
+def _rescaled(f):
+    return normalize([(name, 7.3 * c) for name, c in zip(f.item_names, f.raw_costs)], 7.3 * f.raw_limit)
+
+
 def test_gpseq_invariant_under_currency_rescaling():
     for f in _raw_instances(40):
         inst, profile = f.to_model()
-        scaled = normalize(
-            [(name, 7.3 * c) for name, c in zip(f.item_names, f.raw_costs)], 7.3 * f.raw_limit
-        )
+        scaled = _rescaled(f)
         for tie in ("lex", "cheapest", "most-approved"):
             _assert_same_run(gpseq(inst, profile, tie=tie), gpseq(scaled, profile, tie=tie))
 
@@ -324,6 +343,46 @@ def test_gpseq_invariant_under_voter_permutation():
         shuffled = Profile(tuple(ballots))
         for tie in ("lex", "cheapest", "most-approved"):
             _assert_same_run(gpseq(inst, profile, tie=tie), gpseq(inst, shuffled, tie=tie))
+
+
+def _transformed_pairs():
+    """Each ``_raw_instances`` model next to its x7.3 currency rescaling
+    and next to a voter permutation of it."""
+    rng = random.Random(97)
+    for seed, f in enumerate(_raw_instances(40)):
+        inst, profile = f.to_model()
+        ballots = list(profile.ballots)
+        rng.shuffle(ballots)
+        yield f"seed {seed} rescaled", (inst, profile), (_rescaled(f), profile)
+        yield f"seed {seed} permuted", (inst, profile), (inst, Profile(tuple(ballots)))
+
+
+def test_greedy_and_construct_invariant_under_rescaling_and_voter_permutation():
+    for case, original, transformed in _transformed_pairs():
+        for rule in (greedy_bjr_l, bpjr_construct):
+            assert rule(*original).selected == rule(*transformed).selected, (case, rule.__name__)
+
+
+def test_enumeration_invariant_under_currency_rescaling():
+    for seed, f in enumerate(_raw_instances(40)):
+        inst, _ = f.to_model()
+        for exhaustive_only in (False, True):
+            original = [b.selected for b in enumerate_feasible(inst, exhaustive_only)]
+            scaled = [b.selected for b in enumerate_feasible(_rescaled(f), exhaustive_only)]
+            assert original == scaled, (seed, exhaustive_only)
+
+
+def test_axiom_verdicts_invariant_under_rescaling_and_voter_permutation():
+    rng = random.Random(53)
+    for case, (inst, profile), (other_inst, other_profile) in _transformed_pairs():
+        feasible = enumerate_feasible(inst)
+        budgets = [greedy_bjr_l(inst, profile), bpjr_construct(inst, profile), gpseq(inst, profile)[0]]
+        budgets += rng.sample(feasible, min(5, len(feasible)))
+        for budget in budgets:
+            other_budget = Budget.of(other_inst, budget.selected)
+            assert evaluate_axioms(inst, profile, budget) == evaluate_axioms(
+                other_inst, other_profile, other_budget
+            ), (case, sorted(budget.selected))
 
 
 # ------------------------------------------------------------ greedy rule
