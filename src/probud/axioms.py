@@ -57,7 +57,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from ._bits import MaskWeights, bits, mask_of
-from .errors import InvalidBudget, TooLargeForExact
+from .errors import InvalidBudget, InvalidChoice, TooLargeForExact
 from .model import (
     ALL_AXIOMS,
     AXIOM_VARIANTS,
@@ -405,7 +405,7 @@ def check_bjr_poly(inst: Instance, profile: Profile, budget: Budget, axiom: Axio
     one unit), an item of cost exactly 1 for plain BJR.
     """
     if axiom.family not in _BJR_FAMILIES:
-        raise ValueError(f"check_bjr_poly handles {_BJR_FAMILIES}, got {axiom.family!r}")
+        raise InvalidChoice(f"check_bjr_poly handles {_BJR_FAMILIES}, got {axiom.family!r}")
     return _GroupTable(inst, profile).report(budget, axiom)
 
 

@@ -17,6 +17,12 @@ class InvalidBudget(ProbudError):
     """A budget references unknown items or breaks a stated precondition."""
 
 
+class InvalidChoice(ProbudError, ValueError):
+    """An argument is none of the values a function accepts: an unknown
+    tie policy, axiom family, axiom variant or axiom id text, or an axiom
+    that a checker does not handle."""
+
+
 class InvalidProfile(ProbudError):
     """A ballot references unknown items, or a rule needs at least one voter."""
 

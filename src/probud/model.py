@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InvalidBudget, InvalidCost, InvalidLimit, InvalidProfile
+from .errors import InvalidBudget, InvalidChoice, InvalidCost, InvalidLimit, InvalidProfile
 
 #: Absolute tolerance for every cost/limit comparison in the package.
 TOL = 1e-9
@@ -115,9 +115,9 @@ class AxiomId:
 
     def __post_init__(self) -> None:
         if self.family not in AXIOM_FAMILIES:
-            raise ValueError(f"unknown axiom family {self.family!r}")
+            raise InvalidChoice(f"unknown axiom family {self.family!r}")
         if self.variant not in AXIOM_VARIANTS:
-            raise ValueError(f"unknown axiom variant {self.variant!r}")
+            raise InvalidChoice(f"unknown axiom variant {self.variant!r}")
 
     def __str__(self) -> str:
         return f"{self.family}-{self.variant}"
@@ -126,7 +126,7 @@ class AxiomId:
     def parse(cls, text: str) -> "AxiomId":
         family, sep, variant = text.strip().lower().rpartition("-")
         if not sep:
-            raise ValueError(f"cannot parse axiom id {text!r}")
+            raise InvalidChoice(f"cannot parse axiom id {text!r}")
         return cls(family, variant)
 
 

@@ -12,6 +12,16 @@ at the current load cap or yields, from its min cut, an item set whose
 cost-per-approver ratio is the next cap.  It usually needs one flow.  The
 last set found is returned as the certificate ``tight``.
 
+Ballot types are voter bitmasks cut from the approver masks of
+:func:`probud.model._require_profile`: adding an item splits every type
+by the item's approvers and adds its approvers outside every type
+(:func:`_split`), and no ballot is scanned.  :func:`gpseq` carries its
+selection's types from step to step and splits them once more for each
+candidate.  The flow is one iterative Dinic function over flat edge
+lists; a Dinkelbach step raises the sink capacities in place and augments
+the flow it already has, which stays feasible because the cap only
+grows.  Only the final spread of a run maps types back to voters.
+
 All rules are deterministic: ties among items are broken by an explicit
 policy (index order by default), and exhaustive fills always proceed
 cheapest-first, then by index.
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ._bits import bits, subsets_within
-from .errors import InvalidProfile, NoApprover, TooLargeForExact
+from .errors import InvalidChoice, InvalidProfile, NoApprover, TooLargeForExact
 from .model import TOL, Budget, Instance, Profile, _require_items, _require_profile
 
 #: Recognized tie-breaking policies for the sequential rule.
@@ -82,70 +92,87 @@ class RuleTrace:
     final_assignment: LoadAssignment | None
 
 
-class _Dinic:
-    """Max flow on a tiny graph with float capacities.
+#: Residual capacity below which an edge counts as saturated.
+_FLOW_EPS = 1e-13
 
-    After :meth:`max_flow`, ``level[v] >= 0`` exactly for the nodes
-    reachable from the source in the residual graph: the source side of
-    a minimum cut.
+
+def _max_flow(adj: list[list[int]], to: list[int], cap: list[float], sink: int) -> list[int]:
+    """Augment the flow held in ``cap`` from node 0 to ``sink`` until it is
+    maximum, by Dinic's algorithm with an explicit path stack.
+
+    ``adj[u]`` lists the edges leaving node ``u``; edge ``e`` runs to
+    ``to[e]`` with residual capacity ``cap[e]``, and ``e ^ 1`` is its
+    reverse.  Returns the levels of the last breadth-first search:
+    ``level[v] >= 0`` exactly for the nodes reachable from the source in
+    the residual graph, the source side of a minimum cut.
     """
-
-    EPS = 1e-13
-
-    def __init__(self, num_nodes: int):
-        self.num_nodes = num_nodes
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.head: list[list[int]] = [[] for _ in range(num_nodes)]
-        self.level: list[int] = []
-
-    def add_edge(self, u: int, v: int, capacity: float) -> int:
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.head[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0.0)
-        self.head[v].append(idx + 1)
-        return idx
-
-    def max_flow(self, source: int, sink: int) -> float:
-        flow = 0.0
+    nodes = len(adj)
+    while True:
+        level = [-1] * nodes
+        level[0] = 0
+        queue = [0]
+        for u in queue:
+            below = level[u] + 1
+            for e in adj[u]:
+                v = to[e]
+                if level[v] < 0 and cap[e] > _FLOW_EPS:
+                    level[v] = below
+                    queue.append(v)
+        if level[sink] < 0:
+            return level
+        # depth-first search along rising levels, restarted from the source
+        # after each augmentation; it[u] is the next edge of u to try in this
+        # phase, so an edge that led nowhere is not tried again
+        it = [0] * nodes
+        path: list[int] = []
+        u = 0
         while True:
-            level = [-1] * self.num_nodes
-            level[source] = 0
-            queue = [source]
-            for u in queue:
-                for e in self.head[u]:
-                    v = self.to[e]
-                    if self.cap[e] > self.EPS and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            self.level = level
-            if level[sink] < 0:
-                return flow
-            it = [0] * self.num_nodes
-
-            def augment(u: int, pushed: float) -> float:
-                if u == sink:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > self.EPS and level[v] == level[u] + 1:
-                        d = augment(v, min(pushed, self.cap[e]))
-                        if d > self.EPS:
-                            self.cap[e] -= d
-                            self.cap[e ^ 1] += d
-                            return d
-                    it[u] += 1
-                return 0.0
-
-            while True:
-                pushed = augment(source, math.inf)
-                if pushed <= self.EPS:
+            if u == sink:
+                pushed = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                path.clear()
+                u = 0
+                continue
+            edges = adj[u]
+            end = len(edges)
+            i = it[u]
+            below = level[u] + 1
+            while i < end:
+                e = edges[i]
+                if cap[e] > _FLOW_EPS and level[to[e]] == below:
                     break
-                flow += pushed
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(e)
+                u = to[e]
+            elif path:
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                break
+
+
+def _split(types: list[int], mask: int) -> list[int]:
+    """The ballot types of a selection extended by one item, as voter
+    bitmasks: each of the selection's ``types`` split by the item's
+    approver ``mask``, then the item's approvers outside every type."""
+    refined = []
+    fresh = mask
+    for voters in types:
+        inside = voters & mask
+        if inside:
+            fresh ^= inside
+            refined.append(inside)
+            if inside != voters:
+                refined.append(voters ^ inside)
+        else:
+            refined.append(voters)
+    if fresh:
+        refined.append(fresh)
+    return refined
 
 
 def min_max_load(inst: Instance, profile: Profile, selected: Iterable[int]) -> LoadAssignment:
@@ -165,83 +192,117 @@ def min_max_load(inst: Instance, profile: Profile, selected: Iterable[int]) -> L
     returned as ``tight``.  The spread comes from the last flow, each
     type's share split equally among its voters.
     """
-    _require_profile(inst, profile)
+    approvers = _require_profile(inst, profile)
     chosen = frozenset(selected)
     _require_items(inst, chosen)
-    return _min_max_load(inst, profile, chosen)
+    return _min_max_load(inst, approvers, profile.num_voters, chosen)
 
 
-def _min_max_load(inst: Instance, profile: Profile, selected: Iterable[int]) -> LoadAssignment:
-    """:func:`min_max_load` on a checked profile and item set."""
-    chosen = frozenset(selected)
-    items = sorted(chosen)
-    n = profile.num_voters
-    # ballot types: voters grouped by their ballot restricted to the selection
-    types: dict[frozenset[int], list[int]] = {}
-    for i, ballot in enumerate(profile.ballots):
-        key = ballot & chosen
-        if key:
-            types.setdefault(key, []).append(i)
-    members = list(types.values())
-    approver_types = {c: [t for t, key in enumerate(types) if c in key] for c in items}
+def _min_max_load(
+    inst: Instance, approvers: Sequence[int], num_voters: int, selected: Iterable[int]
+) -> LoadAssignment:
+    """:func:`min_max_load` on checked approver masks and item set."""
+    items = sorted(selected)
+    types: list[int] = []
     for c in items:
-        if not approver_types[c]:
+        if not approvers[c]:
             raise NoApprover(f"item {inst.names[c]!r} has no approving voter")
+        types = _split(types, approvers[c])
     if not items:
-        return LoadAssignment({}, (0.0,) * n, 0.0, frozenset())
+        return LoadAssignment({}, (0.0,) * num_voters, 0.0, frozenset())
 
-    size = [len(group) for group in members]
+    max_load, tight, adj, to, cap = _optimal_load(inst, approvers, items, types)
+    spread: dict[tuple[int, int], float] = {}
+    voter_load = [0.0] * num_voters
+    first_type = len(items) + 1
+    for u, c in enumerate(items, 1):
+        for e in adj[u][1:]:
+            voters = types[to[e] - first_type]
+            share = cap[e ^ 1] / voters.bit_count()
+            if share > 1e-15:
+                for v in bits(voters):
+                    spread[(c, v)] = share
+                    voter_load[v] += share
+    return LoadAssignment(spread, tuple(voter_load), max_load, tight)
 
-    def ratio(subset: frozenset[int]) -> float:
-        reached_types = {t for c in subset for t in approver_types[c]}
-        return inst.weight(subset) / sum(size[t] for t in reached_types)
 
-    total = inst.weight(items)
-    best, tight = total / sum(size), chosen
-    for single in (frozenset((c,)) for c in items):
-        value = ratio(single)
-        if value > best:
-            best, tight = value, single
+def _optimal_load(
+    inst: Instance, approvers: Sequence[int], items: list[int], types: list[int]
+) -> tuple[float, frozenset[int], list[list[int]], list[int], list[float]]:
+    """The optimal max load of ``items`` (ascending, each approved by some
+    voter) and its ``tight`` set, found by Dinkelbach iteration (see
+    :func:`min_max_load`) on one network whose type nodes are ``types``,
+    the items' ballot types as voter bitmasks.
 
-    # node layout: 0 source, 1..k items, k+1..k+len(members) types, last sink
+    Returns ``(max_load, tight, adj, to, cap)``, the last three being the
+    final residual network in :func:`_max_flow`'s layout.  Node 0 is the
+    source, nodes ``1..k`` the items in order, then one node per type and
+    the sink last.  An item node's edges are the reverse of its source
+    edge, then its edges into the types of its approvers.
+    """
+    cost = inst.cost
+    best, tight = _hall_ratio(inst, approvers, items), frozenset(items)
+    for c in items:
+        single = cost[c] / approvers[c].bit_count()
+        if single > best:
+            best, tight = single, frozenset((c,))
+
     k = len(items)
-    sink = 1 + k + len(members)
-    cap = best
+    sink = k + len(types) + 1
+    adj: list[list[int]] = [[] for _ in range(sink + 1)]
+    to: list[int] = []
+    cap: list[float] = []
+    for u, c in enumerate(items, 1):
+        mask = approvers[c]
+        adj[0].append(len(to))
+        adj[u].append(len(to) + 1)
+        to += (u, 0)
+        cap += (cost[c], 0.0)
+        for t, voters in enumerate(types, k + 1):
+            if voters & mask:
+                adj[u].append(len(to))
+                adj[t].append(len(to) + 1)
+                to += (t, u)
+                cap += (math.inf, 0.0)
+    size = [voters.bit_count() for voters in types]
+    to_sink = range(len(to), len(to) + 2 * len(types), 2)
+    for t, (e, s) in enumerate(zip(to_sink, size), k + 1):
+        adj[t].append(e)
+        adj[sink].append(e + 1)
+        to += (sink, t)
+        cap += (s * best, 0.0)
+
+    load_cap = best
     bump = 0.0
     while True:
-        net = _Dinic(sink + 1)
-        edge_ids: dict[tuple[int, int], int] = {}
-        for pos, c in enumerate(items):
-            net.add_edge(0, 1 + pos, inst.cost[c])
-            for t in approver_types[c]:
-                edge_ids[(c, t)] = net.add_edge(1 + pos, 1 + k + t, math.inf)
-        for t in range(len(members)):
-            net.add_edge(1 + k + t, sink, size[t] * cap)
-        net.max_flow(0, sink)
+        level = _max_flow(adj, to, cap, sink)
         # the min-cut source side holds an item exactly when the flow leaves
         # more than the flow tolerance of some item's cost uncarried
-        reached = frozenset(c for pos, c in enumerate(items) if net.level[1 + pos] >= 0)
+        reached = [c for u, c in enumerate(items, 1) if level[u] >= 0]
         if not reached:
-            break
-        improved = ratio(reached)
+            return best, tight, adj, to, cap
+        improved = _hall_ratio(inst, approvers, reached)
         if improved > best:
-            best, tight, cap = improved, reached, max(cap, improved)
+            best, tight, load_cap = improved, frozenset(reached), max(load_cap, improved)
         else:
             # Float noise: some cost is uncarried, yet the cut gives no set
             # of larger ratio.  Raise the cap in doubling steps until the
             # flow carries every cost; ``best`` keeps the largest ratio found.
-            bump = 2.0 * bump if bump else cap * 2.0**-50
-            cap += bump
+            bump = 2.0 * bump if bump else load_cap * 2.0**-50
+            load_cap += bump
+        # the cap only grows, so the flow found so far stays feasible: raise
+        # the sink edges to the new cap and augment from there
+        for e, s in zip(to_sink, size):
+            cap[e] = s * load_cap - cap[e ^ 1]
 
-    spread: dict[tuple[int, int], float] = {}
-    voter_load = [0.0] * n
-    for (c, t), e in edge_ids.items():
-        share = net.cap[e ^ 1] / size[t]
-        if share > 1e-15:
-            for v in members[t]:
-                spread[(c, v)] = share
-                voter_load[v] += share
-    return LoadAssignment(spread, tuple(voter_load), best, tight)
+
+def _hall_ratio(inst: Instance, approvers: Sequence[int], items: list[int]) -> float:
+    """cost(items) / |N(items)|, where N(items) is the set of voters
+    approving some of the ``items`` (ascending)."""
+    helpers = 0
+    for c in items:
+        helpers |= approvers[c]
+    return inst.weight(items) / helpers.bit_count()
 
 
 def _tie_key(policy: str, inst: Instance, approvers: Sequence[int]):
@@ -251,7 +312,7 @@ def _tie_key(policy: str, inst: Instance, approvers: Sequence[int]):
         return lambda c: (inst.cost[c], c)
     if policy == "most-approved":
         return lambda c: (-approvers[c].bit_count(), c)
-    raise ValueError(f"unknown tie policy {policy!r}; expected one of {TIE_POLICIES}")
+    raise InvalidChoice(f"unknown tie policy {policy!r}; expected one of {TIE_POLICIES}")
 
 
 def gpseq(
@@ -274,6 +335,7 @@ def gpseq(
     key = _tie_key(tie, inst, approvers)
 
     selected: set[int] = set()
+    types: list[int] = []  # the selection's ballot types, as voter bitmasks
     total = 0.0
     steps: list[SequentialStep] = []
     while True:
@@ -287,16 +349,18 @@ def gpseq(
         if not candidates:
             break
         loads = {
-            c: _min_max_load(inst, profile, selected | {c}).max_load for c in candidates
+            c: _optimal_load(inst, approvers, sorted(selected | {c}), _split(types, approvers[c]))[0]
+            for c in candidates
         }
         smallest = min(loads.values())
         tie_set = frozenset(c for c in candidates if loads[c] <= smallest + TOL)
         chosen = min(tie_set, key=key)
         steps.append(SequentialStep(chosen, loads, tie_set))
         selected.add(chosen)
+        types = _split(types, approvers[chosen])
         total += inst.cost[chosen]
 
-    assignment = _min_max_load(inst, profile, selected)
+    assignment = _min_max_load(inst, approvers, profile.num_voters, selected)
     unapproved = [c for c in range(inst.num_items) if not approvers[c]]
     filled = _fill(inst, selected, total, unapproved) if fill_unapproved else []
 

@@ -16,7 +16,7 @@ from probud.axioms import (
     max_bundle_weight,
     recheck_witness,
 )
-from probud.errors import InvalidBudget, TooLargeForExact
+from probud.errors import InvalidBudget, ProbudError, TooLargeForExact
 from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, normalize
 from probud.oracle import enumerate_feasible
 
@@ -107,6 +107,12 @@ def test_plain_bjr_satisfied_on_example_one(ex1):
 def test_bjr_poly_rejects_other_families(ex1):
     _, inst, profile = ex1
     with pytest.raises(ValueError):
+        check_bjr_poly(inst, profile, Budget.of(inst, []), AxiomId("bpjr", "l"))
+
+
+def test_bjr_poly_rejects_other_families_with_a_package_error(ex1):
+    _, inst, profile = ex1
+    with pytest.raises(ProbudError):
         check_bjr_poly(inst, profile, Budget.of(inst, []), AxiomId("bpjr", "l"))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from probud.axioms import check_axiom, evaluate_axioms
-from probud.errors import InvalidBudget, InvalidCost, InvalidLimit, InvalidProfile
+from probud.errors import InvalidBudget, InvalidCost, InvalidLimit, InvalidProfile, ProbudError
 from probud.model import (
     ALL_AXIOMS,
     TOL,
@@ -213,6 +213,16 @@ def test_axiom_id_parse_and_str():
     with pytest.raises(ValueError):
         AxiomId("pjr", "l")
     with pytest.raises(ValueError):
+        AxiomId.parse("bjr")
+
+
+def test_axiom_id_rejects_an_unknown_family_with_a_package_error():
+    with pytest.raises(ProbudError):
+        AxiomId("pjr", "l")
+
+
+def test_axiom_id_parse_rejects_text_without_a_variant_with_a_package_error():
+    with pytest.raises(ProbudError):
         AxiomId.parse("bjr")
 
 

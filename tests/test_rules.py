@@ -3,14 +3,14 @@ import random
 import pytest
 
 from probud.axioms import check_bjr_poly, check_bpjr, check_local_bpjr, evaluate_axioms
-from probud.errors import InvalidProfile, NoApprover
+from probud.errors import InvalidProfile, NoApprover, ProbudError
 from probud.harness import GenSpec, generate, generate_file
 from probud.model import TOL, AxiomId, Budget, Instance, Profile, is_exhaustive, is_feasible, normalize
 from probud.oracle import enumerate_feasible
 from probud.rules import bpjr_construct, gpseq, greedy_bjr_l, min_max_load
 
 from oracles import load_cut_bound, load_lp, reference_bpjr_construct
-from suites import suite_instance
+from suites import fitting_instance, suite_instance
 
 
 # ----------------------------------------------------------- load kernel
@@ -144,18 +144,24 @@ def test_min_max_load_on_duplicate_ballots_matches_cut_bound_and_lp():
     assert merged >= 30  # the cases really exercise shared ballot types
 
 
-def test_min_max_load_finishes_and_carries_every_cost_on_wide_cost_ranges():
-    # Costs of 1 next to 1e6 or 1e8 make flows end a rounding error short
-    # of some cost, often with no set of larger ratio to move to; the
-    # kernel must still finish, carry every cost and stay optimal.
-    rng = random.Random(61)
-    for _ in range(200):
+def _wide_cost_instances(rng, count):
+    """Instances with costs of 1 next to 1e6 or 1e8, drawn from ``rng``,
+    with a limit that admits every item."""
+    for _ in range(count):
         m = rng.randint(3, 8)
         dear = rng.choice((1e6, 1e8))
         cost = (1.0,) + tuple(rng.choice((1.0, rng.uniform(dear / 2, dear * 2))) for _ in range(m - 1))
         inst = Instance(tuple(f"c{j}" for j in range(m)), cost, sum(cost))
         blocs = [frozenset(c for c in range(m) if rng.random() < 0.5) for _ in range(3)]
-        profile = Profile(tuple(rng.choice(blocs) | {rng.randrange(m)} for _ in range(rng.randint(3, 12))))
+        yield inst, Profile(tuple(rng.choice(blocs) | {rng.randrange(m)} for _ in range(rng.randint(3, 12))))
+
+
+def test_min_max_load_finishes_and_carries_every_cost_on_wide_cost_ranges():
+    # Costs of 1 next to 1e6 or 1e8 make flows end a rounding error short
+    # of some cost, often with no set of larger ratio to move to; the
+    # kernel must still finish, carry every cost and stay optimal.
+    rng = random.Random(61)
+    for inst, profile in _wide_cost_instances(rng, 200):
         selected = _approved_sample(inst, profile, rng)
         assignment = min_max_load(inst, profile, selected)
         assert assignment.max_load == pytest.approx(load_cut_bound(inst, profile, selected), rel=1e-12)
@@ -164,6 +170,37 @@ def test_min_max_load_finishes_and_carries_every_cost_on_wide_cost_ranges():
         for c in selected:
             carried = sum(share for (item, _), share in assignment.spread.items() if item == c)
             assert carried == pytest.approx(inst.cost[c], rel=1e-12)
+
+
+def _relabel_items(inst, profile, perm):
+    """The instance and profile with item ``c`` renamed to ``perm[c]``:
+    names, costs and ballots moved together."""
+    names, cost = [None] * inst.num_items, [None] * inst.num_items
+    for c, image in enumerate(perm):
+        names[image], cost[image] = inst.names[c], inst.cost[c]
+    ballots = tuple(frozenset(perm[c] for c in ballot) for ballot in profile.ballots)
+    return Instance(tuple(names), tuple(cost), inst.limit), Profile(ballots)
+
+
+def test_min_max_load_invariant_under_item_permutation():
+    rng = random.Random(83)
+    for seed in range(60):
+        inst, profile = suite_instance(seed, max_voters=12, max_items=8)
+        selected = _approved_sample(inst, profile, rng)
+        if not selected:
+            continue
+        perm = list(range(inst.num_items))
+        rng.shuffle(perm)
+        relabeled, shuffled = _relabel_items(inst, profile, perm)
+        original = min_max_load(inst, profile, selected)
+        moved = min_max_load(relabeled, shuffled, [perm[c] for c in selected])
+        assert moved.max_load == pytest.approx(original.max_load, rel=1e-12), seed
+        back = [c for c in selected if perm[c] in moved.tight]
+        assert len(back) == len(moved.tight)
+        assert _hall_ratio(inst, profile, back) == pytest.approx(original.max_load, rel=1e-12), seed
+        for c in selected:
+            carried = sum(share for (item, _), share in moved.spread.items() if item == perm[c])
+            assert carried == pytest.approx(inst.cost[c], rel=1e-12), (seed, c)
 
 
 # ------------------------------------------------------- sequential rule
@@ -207,6 +244,63 @@ def test_gpseq_checks_its_profile_once(monkeypatch, ex2):
         _, trace = gpseq(inst, profile, tie=tie, fill_unapproved=True)
         assert len(trace.steps) == 2
         assert len(checks) == 1, tie
+
+
+def test_gpseq_step_loads_equal_the_cut_bound_of_each_extension():
+    wide = _wide_cost_instances(random.Random(67), 30)
+    cases = [(f"suite {seed}", suite_instance(seed, max_voters=12, max_items=7)) for seed in range(40)]
+    cases += [(f"groups {k}", case) for k, case in enumerate(_group_instances(30))]
+    cases += [(f"wide {k}", case) for k, case in enumerate(wide)]
+    for case, (inst, profile) in cases:
+        for tie in ("lex", "cheapest", "most-approved"):
+            _, trace = gpseq(inst, profile, tie=tie)
+            before = set()
+            for step in trace.steps:
+                for c, load in step.loads.items():
+                    expected = load_cut_bound(inst, profile, before | {c})
+                    assert load == pytest.approx(expected, rel=1e-12), (case, tie, sorted(before), c)
+                before.add(step.chosen)
+
+
+def _flow_count_instances():
+    rng = random.Random(113)
+    for seed in range(12):
+        yield fitting_instance(
+            rng.uniform(0.3, 0.7),
+            num_items=rng.randint(8, 12),
+            num_voters=rng.randint(20, 60),
+            cost_model=rng.choice(("unit", "uniform", "heavy-tail")),
+            cost_high=rng.uniform(1.5, 5.0),
+            ballot_model=rng.choice(("impartial", "groups")),
+            approval_prob=rng.uniform(0.15, 0.5),
+            group_count=3,
+            group_overlap=0.2,
+            seed=seed,
+        )
+
+
+def test_gpseq_needs_no_more_flows_than_the_rebuilt_networks(monkeypatch):
+    import probud.rules
+
+    flows = []
+    max_flow = probud.rules._max_flow
+    monkeypatch.setattr(probud.rules, "_max_flow", lambda *args: flows.append(1) or max_flow(*args))
+    calls = 0
+    for inst, profile in _flow_count_instances():
+        for tie in ("lex", "cheapest", "most-approved"):
+            _, trace = gpseq(inst, profile, tie=tie)
+            calls += sum(len(step.loads) for step in trace.steps) + 1
+    assert calls == 1422
+    # The bound is the count of a kernel that built a fresh network for each
+    # Dinkelbach step (1521 max-flows here, 1.07 a kernel call): keeping the
+    # flow while raising sink capacities in place must not need more.
+    assert len(flows) <= 1521
+
+
+def test_gpseq_rejects_an_unknown_tie_policy(ex2):
+    _, inst, profile = ex2
+    with pytest.raises(ProbudError):
+        gpseq(inst, profile, tie="nope")
 
 
 def test_gpseq_rejects_empty_profile(ex1):
