@@ -3,27 +3,28 @@
 Each checker returns an :class:`AxiomReport`: a verdict plus, on
 violation, an :class:`AxiomWitness` naming the under-represented voter
 group, the entitlement level it reaches, and the bundle that proves the
-deficit.  The BJR families admit a polynomial test; the BPJR families are
-checked by an exact sweep over all cohesive voter groups, which is
+deficit.  All ten axioms read one violation stream,
+``_GroupTable._violations``: polynomial for the BJR families, an exact
+sweep over all cohesive voter groups for the BPJR families, which is
 exponential and therefore gated by hard size caps (``MAX_EXACT_VOTERS``
 voters, ``MAX_EXACT_BUNDLE_ITEMS`` items per common-item set).
 
-The sweep reads a group table that depends on the instance and profile
-only, never on the budget.  It is built once per public call and holds
-memoized subset weights, one knapsack cache, and the cohesive groups
-collapsed to one entry per distinct (common items, union, size), each
-keeping the lexicographically first voter tuple of that size.  All
-groups of one entry have the same level, representation and deficit, so
-no verdict or witness changes, and memory is bounded by the number of
-distinct entries, not of groups.  A single check builds the table for
-its one budget; ``certify_existence``, ``verify_implications`` and
-``replay_witnesses`` in :mod:`probud.oracle` build it once and reuse it,
-weights and knapsack results included, for every budget they check.
-Verdict-only callers (those and :func:`evaluate_axioms`) read just the
-largest size of each (common items, union) class, since every violation
-test is monotone in group size, and stop at the first violation.
+The stream reads a group table built once per public call from the
+instance and profile alone: memoized subset weights, one knapsack cache,
+and the cohesive groups collapsed to one entry per distinct (common
+items, union, size) with the lexicographically first voter tuple of
+that size.  All groups of one entry share level, representation and
+deficit, so no verdict or witness changes, and memory grows with the
+entries, not the groups.  The table reads a selection as an ``(item
+mask, total)`` pair: :func:`check_axiom`, :func:`evaluate_axioms` and
+``verify_implications`` admit a caller's ``Budget`` once, and the other
+oracle calls feed in the feasible-subset walk's pairs.  A verdict stops
+at the first violation and reads just the largest size of each (common
+items, union) class, since every violation test is monotone in group
+size.
 
-Errors: a budget that is infeasible, names an unknown item or carries a
+Errors, in this order: an invalid profile raises ``InvalidProfile``; a
+budget that is infeasible, names an unknown item or carries a
 ``total_cost`` other than its items' cost raises ``InvalidBudget``.
 ``TooLargeForExact`` is raised for more than ``MAX_EXACT_VOTERS`` voters,
 and when a group whose bundles the check must maximize has more than
@@ -44,9 +45,9 @@ Violation conditions are piecewise-constant in ``ell`` between achievable
 bundle weights, so the sweeps evaluate only critical levels.  Checkers are
 pure functions; verdicts are deterministic, and the reported witness is
 the maximum-deficit violation with the lexicographically smallest voter
-group.  Entry order alone settles ties: the sweep keeps the first violation
+group.  Stream order alone settles ties: a report keeps the first violation
 whose deficit beats the best so far by more than ``TOL``, and BJR, where
-every deficit is one unit, takes the smallest (voter tuple, item) pair.
+every deficit is one unit, streams in (voter tuple, item) order.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ POLYNOMIAL = "polynomial"
 BRUTE_FORCE = "bruteForce"
 
 _BJR_FAMILIES = ("bjr", "strong-bjr")
-_BRUTE_FAMILIES = ("strong-bpjr", "bpjr", "local-bpjr")
 
 
 @dataclass(frozen=True)
@@ -196,20 +196,27 @@ def _cohesive_groups(masks: Sequence[int]) -> list[tuple[tuple[int, ...], int, i
     return [(voters, common, union) for (common, union, _), voters in first.items()]
 
 
-class _GroupTable:
-    """Everything the checkers need from ``(inst, profile)`` alone.
+def _selection(inst: Instance, budget: Budget) -> tuple[int, float]:
+    """Admit a caller's budget once, at the public boundary: it must be
+    valid and feasible, else ``InvalidBudget``.  Returns the selection as
+    the group table reads it, ``(item mask, total cost)``."""
+    if not is_feasible(inst, budget):
+        raise InvalidBudget("axiom checks expect a feasible budget")
+    return mask_of(budget.selected), budget.total_cost
 
-    Built once per public call and shared by every budget that call
-    checks: each item's approver mask, memoized subset weights, one
-    knapsack cache keyed by (item mask, cap), and, on first use, the
-    cohesive groups of :func:`_cohesive_groups` and their largest-size
-    classes.  Nothing in it outlives the call.
+
+class _GroupTable:
+    """Everything the checkers need from ``(inst, profile)`` alone, built
+    once per public call and shared by every selection it checks: approver
+    masks, memoized subset weights, one knapsack cache keyed by (item mask,
+    cap) and, on first use, the cohesive groups of :func:`_cohesive_groups`
+    and their largest-size classes.  It keeps no profile and reads a
+    selection as an admitted ``(item mask, total)`` pair (:func:`_selection`).
     """
 
     def __init__(self, inst: Instance, profile: Profile) -> None:
         self.approvers = _require_profile(inst, profile)
         self.inst = inst
-        self.profile = profile
         self.n = profile.num_voters
         self.weights = MaskWeights(inst.cost)
         self._bundles: dict[tuple[int, float], tuple[float, int]] = {}
@@ -256,21 +263,20 @@ class _GroupTable:
             self._bundles[key] = hit
         return hit
 
-    def report(self, budget: Budget, axiom: AxiomId) -> AxiomReport:
-        """The checker's report, witness included, for one budget."""
-        self._admit(budget, axiom)
-        if axiom.family in _BJR_FAMILIES:
-            return self._bjr_report(budget, axiom)
-        # Entries come in increasing voter-tuple order, each holding the
-        # smallest tuple of the groups that share its deficit, so keeping
-        # the first violation that beats the best by more than TOL gives a
-        # tie to the smaller tuple, as a sweep over every group would.
+    def report(self, selection: tuple[int, float], axiom: AxiomId) -> AxiomReport:
+        """The checker's report, witness included, for one selection."""
+        self._admit(axiom)
+        # Violations come in increasing voter-tuple order, each holding the
+        # smallest tuple of the groups that share its deficit, so keeping the
+        # first that beats the best by more than TOL gives a tie to the
+        # smaller tuple, as a sweep over every group would.
         best = None
-        for violation in self._violations(budget, axiom, False):
+        for violation in self._violations(selection, axiom, False):
             if best is None or violation[0] > best[0] + TOL:
                 best = violation
+        method = POLYNOMIAL if axiom.family in _BJR_FAMILIES else BRUTE_FORCE
         if best is None:
-            return AxiomReport(axiom, True, None, BRUTE_FORCE)
+            return AxiomReport(axiom, True, None, method)
         _, voters, (level, common, bundle, represented, required) = best
         witness = AxiomWitness(
             voters=frozenset(voters),
@@ -280,73 +286,55 @@ class _GroupTable:
             represented_weight=represented,
             required_weight=required,
         )
-        return AxiomReport(axiom, False, witness, BRUTE_FORCE)
+        return AxiomReport(axiom, False, witness, method)
 
-    def holds(self, budget: Budget, axiom: AxiomId) -> bool:
-        """The verdict alone: stops at the first violating class."""
-        self._admit(budget, axiom)
-        if axiom.family in _BJR_FAMILIES:
-            return self._bjr_report(budget, axiom).satisfied
-        return next(self._violations(budget, axiom, True), None) is None
+    def holds(self, selection: tuple[int, float], axiom: AxiomId) -> bool:
+        """The verdict alone: stops at the first violation."""
+        self._admit(axiom)
+        return next(self._violations(selection, axiom, True), None) is None
 
-    def verdicts(self, budget: Budget) -> dict[AxiomId, bool]:
+    def verdicts(self, selection: tuple[int, float]) -> dict[AxiomId, bool]:
         """:meth:`holds` for all ten axioms, in ``ALL_AXIOMS`` order."""
-        return {axiom: self.holds(budget, axiom) for axiom in ALL_AXIOMS}
+        return {axiom: self.holds(selection, axiom) for axiom in ALL_AXIOMS}
 
-    def _admit(self, budget: Budget, axiom: AxiomId) -> None:
-        if not is_feasible(self.inst, budget):
-            raise InvalidBudget("axiom checks expect a feasible budget")
-        if axiom.family in _BRUTE_FAMILIES and self.n > MAX_EXACT_VOTERS:
+    def _admit(self, axiom: AxiomId) -> None:
+        if axiom.family not in _BJR_FAMILIES and self.n > MAX_EXACT_VOTERS:
             raise TooLargeForExact(
                 f"exact subset sweep supports at most {MAX_EXACT_VOTERS} voters, got {self.n}"
             )
 
-    def _bjr_report(self, budget: Budget, axiom: AxiomId) -> AxiomReport:
-        """:func:`check_bjr_poly` on a budget already admitted."""
-        inst, n = self.inst, self.n
-        denom = inst.limit if axiom.variant == "l" else budget.total_cost
-        if denom <= TOL:
-            return AxiomReport(axiom, True, None, POLYNOMIAL)
-
-        represented = 0
-        for c in budget.selected:
-            represented |= self.approvers[c]
-        qualifying = []
-        for c, voters in enumerate(self.approvers):
-            if axiom.family == "bjr" and abs(inst.cost[c] - 1.0) > TOL:
-                continue  # plain BJR owes only unit-cost items
-            group = voters & ~represented
-            if group and group.bit_count() >= n / denom - TOL:
-                qualifying.append((tuple(bits(group)), c))
-        if not qualifying:
-            return AxiomReport(axiom, True, None, POLYNOMIAL)
-
-        # every deficit is one unit: the smallest voter tuple, then item, wins
-        voters, item = min(qualifying)
-        common = frozenset.intersection(*(self.profile.ballots[i] for i in voters))
-        witness = AxiomWitness(
-            voters=frozenset(voters),
-            level=1.0,
-            common_items=common,
-            witness_bundle=frozenset((item,)),
-            represented_weight=0.0,
-            required_weight=1.0,
-        )
-        return AxiomReport(axiom, False, witness, POLYNOMIAL)
-
-    def _violations(self, budget: Budget, axiom: AxiomId, verdict_only: bool) -> Iterator[tuple]:
-        """The violating entries of one BPJR-family axiom, in entry order,
-        as ``(deficit, voters, (level, common, bundle, represented,
-        required))`` with masks for the item sets.
-
-        Runs over every entry for a witness and over :attr:`classes` for
-        a verdict.
+    def _violations(self, selection: tuple[int, float], axiom: AxiomId, verdict_only: bool) -> Iterator[tuple]:
+        """The one source of violations for all ten axioms, as ``(deficit,
+        voters, (level, common, bundle, represented, required))`` with masks
+        for the item sets.  BJR yields each item's wholly unrepresented
+        approvers, sorted by (voter tuple, item), before any group is read;
+        the BPJR families yield violating entries in entry order, of
+        :attr:`groups` for a witness and of :attr:`classes` for a verdict.
         """
         inst, n, weights = self.inst, self.n, self.weights
         family = axiom.family
-        denom = inst.limit if axiom.variant == "l" else budget.total_cost
+        selected, total = selection
+        denom = inst.limit if axiom.variant == "l" else total
         if denom <= TOL:
             return  # no group's entitlement reaches one unit
+
+        if family in _BJR_FAMILIES:
+            represented = 0
+            for c in bits(selected):
+                represented |= self.approvers[c]
+            qualifying = []
+            for c, voters in enumerate(self.approvers):
+                if family == "bjr" and abs(inst.cost[c] - 1.0) > TOL:
+                    continue  # plain BJR owes only unit-cost items
+                group = voters & ~represented
+                if group and group.bit_count() >= n / denom - TOL:
+                    qualifying.append((tuple(bits(group)), c, group))
+            for voters, item, group in sorted(qualifying):
+                # the items whose approvers include the whole group
+                common = mask_of(c for c, approvers in enumerate(self.approvers) if not group & ~approvers)
+                yield 1.0, voters, (1.0, common, 1 << item, 0.0, 1.0)
+            return
+
         # A full sweep hands the knapsack the common items of every BPJR
         # group reaching level 1 and of every Local-BPJR group; refuse up
         # front, so a verdict that stops early raises exactly as it does.
@@ -354,7 +342,6 @@ class _GroupTable:
             if family == "local-bpjr" or (family == "bpjr" and size * denom / n >= 1.0 - TOL):
                 raise TooLargeForExact(f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items")
         groups = self.classes if verdict_only else self.groups
-        selected = mask_of(budget.selected)
 
         if family == "strong-bpjr":
             # the claimable levels form an interval; test its top
@@ -406,7 +393,7 @@ def check_bjr_poly(inst: Instance, profile: Profile, budget: Budget, axiom: Axio
     """
     if axiom.family not in _BJR_FAMILIES:
         raise InvalidChoice(f"check_bjr_poly handles {_BJR_FAMILIES}, got {axiom.family!r}")
-    return _GroupTable(inst, profile).report(budget, axiom)
+    return check_axiom(inst, profile, budget, axiom)
 
 
 def check_strong_bpjr(inst: Instance, profile: Profile, budget: Budget, variant: str = "l") -> AxiomReport:
@@ -418,7 +405,7 @@ def check_strong_bpjr(inst: Instance, profile: Profile, budget: Budget, variant:
     suffices to test the top one: ``min(size * denom / n, weight of the
     common items)``.
     """
-    return _GroupTable(inst, profile).report(budget, AxiomId("strong-bpjr", variant))
+    return check_axiom(inst, profile, budget, AxiomId("strong-bpjr", variant))
 
 
 def check_bpjr(inst: Instance, profile: Profile, budget: Budget, variant: str = "l") -> AxiomReport:
@@ -431,7 +418,7 @@ def check_bpjr(inst: Instance, profile: Profile, budget: Budget, variant: str = 
     claimable levels; the bundle maximizer is monotone in the cap, so
     only the top level needs evaluating.
     """
-    return _GroupTable(inst, profile).report(budget, AxiomId("bpjr", variant))
+    return check_axiom(inst, profile, budget, AxiomId("bpjr", variant))
 
 
 def check_local_bpjr(
@@ -450,12 +437,14 @@ def check_local_bpjr(
     items, can be extended by at least one more common item without
     exceeding the group's level cap.
     """
-    return _GroupTable(inst, profile).report(budget, AxiomId("local-bpjr", variant))
+    return check_axiom(inst, profile, budget, AxiomId("local-bpjr", variant))
 
 
 def check_axiom(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> AxiomReport:
-    """Dispatch to the appropriate checker for ``axiom``."""
-    return _GroupTable(inst, profile).report(budget, axiom)
+    """The report of any of the ten axioms, which every ``check_*``
+    function returns: the profile is checked first, then the budget is
+    admitted, then the size caps apply."""
+    return _GroupTable(inst, profile).report(_selection(inst, budget), axiom)
 
 
 def evaluate_axioms(inst: Instance, profile: Profile, budget: Budget) -> dict[AxiomId, bool]:
@@ -465,13 +454,13 @@ def evaluate_axioms(inst: Instance, profile: Profile, budget: Budget) -> dict[Ax
     Equivalent to calling :func:`check_axiom` per axiom, errors included:
     it raises ``TooLargeForExact`` exactly when one of the six BPJR-family
     checks would, even where another group already settled the verdict.
-    The six share one group table built for this call; each verdict reads
-    only the largest group of every (common items, union) class and stops
-    at its first violation, and no witness is built.
+    The budget is admitted once, and all ten verdicts read the violation
+    stream of one group table built for this call: each stops at its
+    first violation, and no witness is built.
     :func:`probud.oracle.verify_implications` shares one table across all
     its budgets instead.
     """
-    return _GroupTable(inst, profile).verdicts(budget)
+    return _GroupTable(inst, profile).verdicts(_selection(inst, budget))
 
 
 def _implication_edges() -> tuple[tuple[AxiomId, AxiomId], ...]:

@@ -160,6 +160,8 @@ def normalize(raw_costs, raw_limit: float) -> Instance:
 
 
 def _check_cost(name: str, c: float) -> None:
+    if isinstance(c, bool) or not isinstance(c, (int, float)):
+        raise InvalidCost(f"item {name!r} has cost {c!r}, which is not a number")
     if not math.isfinite(c):
         raise InvalidCost(f"item {name!r} has non-finite cost {c}")
     if not c > 0:
@@ -167,6 +169,8 @@ def _check_cost(name: str, c: float) -> None:
 
 
 def _check_limit(limit: float) -> None:
+    if isinstance(limit, bool) or not isinstance(limit, (int, float)):
+        raise InvalidLimit(f"limit must be a number, got {limit!r}")
     if not math.isfinite(limit):
         raise InvalidLimit(f"limit must be finite, got {limit}")
     if limit < 0:

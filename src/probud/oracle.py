@@ -4,10 +4,11 @@ Enumerates every feasible budget by one pruned walk over the subsets
 that fit (:func:`probud._bits.subsets_within`), certifies for which
 budgets an axiom holds (in particular whether any satisfying budget
 exists at all), and cross-checks the implication lattice between the ten
-axioms.  The walk yields sorted index tuples and decides exhaustiveness
-with one comparison per subset, so :func:`enumerate_feasible` builds each
-``Budget`` straight from a tuple and the CLI's ``enumerate`` writes item
-names from the same tuples without building budgets at all.
+axioms.  The walk yields ``(indices, mask, total)`` triples and decides
+exhaustiveness with one comparison per subset.  :func:`certify_existence`
+and :func:`replay_witnesses` hand its ``(mask, total)`` pairs straight to
+the checkers' group table and build a ``Budget`` only for a satisfier or
+a witness to recheck; :func:`enumerate_feasible` builds one per tuple.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ._bits import subsets_within
-from .axioms import _GroupTable, implied_by, recheck_witness
+from .axioms import _GroupTable, _selection, implied_by, recheck_witness
 from .errors import TooLargeForExact
 from .model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile
 
@@ -78,17 +79,21 @@ def certify_existence(
     """Run the axiom's checker over every (exhaustive) feasible budget and
     report all satisfiers.
 
-    One group table serves every budget, and only verdicts are computed.
+    One group table, fed the walk's ``(mask, total)`` pairs, computes
+    only verdicts; a ``Budget`` is built only for a satisfier.
     """
-    budgets = enumerate_feasible(inst, exhaustive_only)
+    subsets = _feasible_subsets(inst, exhaustive_only)
     table = _GroupTable(inst, profile)
-    satisfying = tuple(b for b in budgets if table.holds(b, axiom))
+    satisfying, total_feasible = [], 0
+    for total_feasible, (indices, mask, total) in enumerate(subsets, 1):
+        if table.holds((mask, total), axiom):
+            satisfying.append(Budget(frozenset(indices), total))
     return ExistenceReport(
         axiom=axiom,
         exhaustive_only=exhaustive_only,
         exists=bool(satisfying),
-        satisfying_budgets=satisfying,
-        total_feasible=len(budgets),
+        satisfying_budgets=tuple(satisfying),
+        total_feasible=total_feasible,
     )
 
 
@@ -103,12 +108,12 @@ def verify_implications(
     axiom holds but the implied weaker one does not; expected empty.
     Each budget's verdicts are those of
     :func:`probud.axioms.evaluate_axioms`, over one group table shared by
-    all the budgets.
+    all the budgets; each budget is admitted once.
     """
     table = _GroupTable(inst, profile)
     violations: list[tuple[Budget, AxiomId, AxiomId]] = []
     for budget in budgets:
-        satisfied = table.verdicts(budget)
+        satisfied = table.verdicts(_selection(inst, budget))
         for stronger, weaker in _IMPLICATION_PAIRS:
             if satisfied[stronger] and not satisfied[weaker]:
                 violations.append((budget, stronger, weaker))
@@ -127,12 +132,13 @@ def replay_witnesses(
     Returns True iff every budget's checker reports a violation and every
     reported witness re-validates against the definition.  The reports
     are those of :func:`probud.axioms.check_axiom`, over one group table
-    shared by all the budgets.
+    shared by all the budgets and fed the walk's ``(mask, total)`` pairs;
+    a ``Budget`` is built only for a witness to recheck.
     """
     table = _GroupTable(inst, profile)
-    for budget in enumerate_feasible(inst, exhaustive_only):
-        report = table.report(budget, axiom)
-        if report.satisfied or not recheck_witness(inst, profile, budget, report):
+    for indices, mask, total in _feasible_subsets(inst, exhaustive_only):
+        report = table.report((mask, total), axiom)
+        if report.satisfied or not recheck_witness(inst, profile, Budget(frozenset(indices), total), report):
             return False
     return True
 

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from probud.axioms import (
     IMPLICATION_EDGES,
+    MAX_EXACT_BUNDLE_ITEMS,
+    MAX_EXACT_VOTERS,
     check_axiom,
     check_bjr_poly,
     check_bpjr,
@@ -172,6 +174,31 @@ def test_bjr_witness_is_the_smallest_voter_tuple():
         assert report.witness.voters == frozenset({0, 1}), axiom
         assert report.witness.witness_bundle == frozenset({1}), axiom
         assert report == reference_bjr_report(inst, profile, budget, axiom)
+
+
+def test_bjr_reports_past_the_exact_caps_match_the_reference_without_a_group_sweep(monkeypatch):
+    # 40 voters and 30 items pass both exact caps, so the BJR test must run
+    # before the voter cap, the oversized-common-items guard and the group
+    # sweep; the stand-in sweep records a call and returns no groups
+    import probud.axioms
+
+    sweeps = []
+    monkeypatch.setattr(probud.axioms, "_cohesive_groups", lambda masks: sweeps.append(len(masks)) or [])
+    rng = random.Random(2)
+    m, n = 30, 40
+    cost = (1.0,) + tuple(rng.choice((1.0, 1.5, 2.0, 3.0)) for _ in range(m - 1))
+    inst = Instance(tuple(f"c{i}" for i in range(m)), cost, 0.5 * sum(cost))
+    profile = Profile.of([{c for c in range(m) if rng.random() < 0.15} for _ in range(n)])
+    assert n > MAX_EXACT_VOTERS and m > MAX_EXACT_BUNDLE_ITEMS
+    budgets = [Budget.of(inst, [])] + [random_feasible_budget(inst, rng) for _ in range(19)]
+    verdicts = {axiom: set() for axiom in BJR_AXIOMS}
+    for budget in budgets:
+        for axiom in BJR_AXIOMS:
+            report = check_axiom(inst, profile, budget, axiom)
+            assert report == reference_bjr_report(inst, profile, budget, axiom), (axiom, sorted(budget.selected))
+            verdicts[axiom].add(report.satisfied)
+    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+    assert sweeps == []
 
 
 # ------------------------------------------------------------- strong BPJR

@@ -86,6 +86,37 @@ def test_instance_rejects_non_finite_numbers():
         Instance(("a", "b", "c"), (1.0, 1e308, 1e308), 1.0)  # total overflows
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: normalize([("a", "3")], 5), InvalidCost),
+        (lambda: normalize({"a": None}, 1), InvalidCost),
+        (lambda: normalize({"a": True, "b": 2}, 2), InvalidCost),
+        (lambda: normalize({"a": 1}, "5"), InvalidLimit),
+        (lambda: normalize({"a": 1, "b": 2}, True), InvalidLimit),
+        (lambda: Instance(("a",), (1.0,), "3"), InvalidLimit),
+        (lambda: Instance(("a",), (True,), 1.0), InvalidCost),
+        (lambda: Instance(("a",), (1.0,), False), InvalidLimit),
+    ],
+    ids=["str-cost", "none-cost", "bool-cost", "str-limit", "bool-limit",
+         "instance-str-limit", "instance-bool-cost", "instance-bool-limit"],
+)
+def test_non_numeric_costs_and_limits_are_rejected(build, error):
+    # a string or None used to reach math.isfinite and raise a raw
+    # TypeError; a bool used to be read silently as 0 or 1
+    with pytest.raises(error):
+        build()
+
+
+def test_int_and_float_subclass_costs_and_limits_are_accepted():
+    class Amount(float):
+        pass
+
+    inst = normalize({"a": Amount(2.0), "b": 3}, Amount(5.0))
+    assert inst.cost == (1.0, 1.5)
+    assert inst.limit == 2.5
+
+
 def test_instance_requires_normalized_costs():
     with pytest.raises(InvalidCost):
         Instance(("a",), (2.0,), 1.0)

@@ -231,6 +231,39 @@ def test_certify_and_verify_build_the_group_table_once(monkeypatch):
     assert len(builds) == 1
 
 
+def test_each_caller_budget_is_admitted_once(monkeypatch):
+    # the group table reads admitted (mask, total) selections: a caller's
+    # budget is checked once however many axioms read it, and the
+    # enumerated budgets of certify and replay are never re-checked
+    import probud.axioms
+    from probud.axioms import check_axiom, evaluate_axioms
+
+    admitted = []
+    feasible = probud.axioms.is_feasible
+
+    def counted(inst, budget):
+        admitted.append(budget)
+        return feasible(inst, budget)
+
+    monkeypatch.setattr(probud.axioms, "is_feasible", counted)
+    inst, profile = next(_bloc_instances(1))
+    budgets = enumerate_feasible(inst)[:4]
+    assert len(budgets) == 4
+    evaluate_axioms(inst, profile, budgets[1])
+    assert admitted == budgets[1:2]
+    admitted.clear()
+    verify_implications(inst, profile, budgets)
+    assert admitted == budgets
+    admitted.clear()
+    check_axiom(inst, profile, budgets[2], AxiomId("bpjr", "w"))
+    assert admitted == budgets[2:3]
+    admitted.clear()
+    for axiom in (AxiomId("bjr", "l"), AxiomId("local-bpjr", "w")):
+        certify_existence(inst, profile, axiom)
+        replay_witnesses(inst, profile, axiom)
+    assert admitted == []
+
+
 def test_certified_satisfiers_equal_a_per_budget_filter():
     # the "w" knapsack caps follow each budget's spend, so a table cache
     # keyed without the cap would show up as a wrong satisfier here

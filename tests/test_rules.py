@@ -479,6 +479,43 @@ def test_axiom_verdicts_invariant_under_rescaling_and_voter_permutation():
             ), (case, sorted(budget.selected))
 
 
+def _relabelled_pairs():
+    """Each ``_raw_instances`` model next to a seeded permutation of its
+    items (names, costs and ballots remapped), with the map from each
+    original item index to its new one.  The rules are left out: their
+    index tie-breaks may pick differently after relabelling."""
+    rng = random.Random(61)
+    for seed, f in enumerate(_raw_instances(40)):
+        inst, profile = f.to_model()
+        order = list(range(inst.num_items))
+        rng.shuffle(order)  # order[new] is the original index
+        image = {old: new for new, old in enumerate(order)}
+        names = tuple(inst.names[old] for old in order)
+        relabelled = Instance(names, tuple(inst.cost[old] for old in order), inst.limit)
+        ballots = tuple(frozenset(image[i] for i in ballot) for ballot in profile.ballots)
+        yield seed, image, (inst, profile), (relabelled, Profile(ballots))
+
+
+def test_enumeration_and_axiom_verdicts_invariant_under_item_relabelling():
+    rng = random.Random(67)
+    violations = 0
+    for seed, image, (inst, profile), (other_inst, other_profile) in _relabelled_pairs():
+        for exhaustive_only in (False, True):
+            original = enumerate_feasible(inst, exhaustive_only)
+            relabelled = enumerate_feasible(other_inst, exhaustive_only)
+            mapped = {frozenset(image[i] for i in b.selected) for b in original}
+            assert len(original) == len(relabelled), (seed, exhaustive_only)
+            assert mapped == {b.selected for b in relabelled}, (seed, exhaustive_only)
+        feasible = enumerate_feasible(inst)
+        for budget in rng.sample(feasible, min(6, len(feasible))):
+            other_budget = Budget.of(other_inst, (image[i] for i in budget.selected))
+            verdicts = evaluate_axioms(inst, profile, budget)
+            other_verdicts = evaluate_axioms(other_inst, other_profile, other_budget)
+            assert verdicts == other_verdicts, (seed, sorted(budget.selected))
+            violations += list(verdicts.values()).count(False)
+    assert violations > 600
+
+
 # ------------------------------------------------------------ greedy rule
 
 
