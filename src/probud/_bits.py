@@ -78,9 +78,9 @@ class MaskWeights(dict):
     """Total cost of item subsets encoded as bitmasks, looked up as
     ``weights[mask]``.
 
-    Each mask's sum is taken over its set bits in ascending order on first
-    use and memoized, so the table grows with the masks actually asked
-    for rather than with 2^m.
+    Each mask's sum is taken from ``0.0`` over its set bits in ascending
+    order, as in ``Instance.weight``, on first use and memoized, so the
+    table grows with the masks actually asked for rather than with 2^m.
     """
 
     def __init__(self, costs: Sequence[float]):
@@ -88,5 +88,5 @@ class MaskWeights(dict):
         self._costs = tuple(costs)
 
     def __missing__(self, mask: int) -> float:
-        weight = self[mask] = sum(self._costs[i] for i in bits(mask))
+        weight = self[mask] = sum((self._costs[i] for i in bits(mask)), 0.0)
         return weight

@@ -510,10 +510,26 @@ def recheck_witness(inst: Instance, profile: Profile, budget: Budget, report: Ax
 
     Recomputes the group's common items, union, and representation from
     the ballots and re-evaluates the violated inequality; used to make
-    every returned witness independently checkable.
+    every returned witness independently checkable.  Inputs are admitted
+    as :func:`check_axiom` admits them: an invalid profile raises
+    ``InvalidProfile``, then an invalid or infeasible budget
+    ``InvalidBudget``.  A witness naming a voter or an item that is not a
+    non-``bool`` ``int`` in range belongs to no group of this instance,
+    and gives False.
     """
+    _require_profile(inst, profile)
+    _selection(inst, budget)
+    return _recheck_witness(inst, profile, budget, report)
+
+
+def _recheck_witness(inst: Instance, profile: Profile, budget: Budget, report: AxiomReport) -> bool:
+    """:func:`recheck_witness` on a checked profile and an admitted budget."""
     witness = report.witness
     if report.satisfied or witness is None:
+        return False
+    if not (_indices_within(witness.voters, profile.num_voters)
+            and _indices_within(witness.common_items, inst.num_items)
+            and _indices_within(witness.witness_bundle, inst.num_items)):
         return False
     voters = sorted(witness.voters)
     if not voters:
@@ -571,3 +587,8 @@ def recheck_witness(inst: Instance, profile: Profile, budget: Budget, report: Ax
         return False
     backing = {i: inst.cost[i] for i in common}
     return inst.weight(bundle) >= max_bundle_weight(backing, level) - TOL
+
+
+def _indices_within(indices, size: int) -> bool:
+    """True iff every index is a non-``bool`` ``int`` in ``range(size)``."""
+    return all(not isinstance(i, bool) and isinstance(i, int) and 0 <= i < size for i in indices)

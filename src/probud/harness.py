@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass, fields
 from .errors import DuplicateItem, InvalidSpec, ParseError
-from .model import TOL, Instance, Profile, normalize
+from .model import TOL, Instance, Profile, _beyond_float, normalize
 
 _SECTIONS = ("meta", "items", "ballots")
 _META_KEYS = ("name", "m", "n", "limit")
@@ -203,7 +203,8 @@ class GenSpec:
     approving its own chunk of items entirely plus every other item with
     probability ``group_overlap``).  The raw limit is ``limit_fraction``
     times the total raw cost.  A field of the wrong type, a ``bool``
-    included, raises ``InvalidSpec``.
+    included, or an ``int`` beyond float range in a float field raises
+    ``InvalidSpec``.
     """
 
     num_items: int
@@ -225,6 +226,8 @@ class GenSpec:
                 raise InvalidSpec(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
                 raise InvalidSpec(f"{f.name} must be a number, got {value!r}")
+            if f.type == "float" and _beyond_float(value):
+                raise InvalidSpec(f"{f.name} is an integer too large for a finite float")
         if self.num_items < 1:
             raise InvalidSpec("need at least one item")
         if self.num_voters < 1:
@@ -260,7 +263,7 @@ class GenSpec:
     def from_json(cls, text: str) -> "GenSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
             raise InvalidSpec(f"bad generator spec: {exc}") from None
         if not isinstance(data, dict):
             raise InvalidSpec("generator spec must be a JSON object")

@@ -57,9 +57,10 @@ class Instance:
         return len(self.names)
 
     def weight(self, items: Iterable[int]) -> float:
-        """Total cost of the given item indices, summed in ascending index
-        order, so the same items always give the same float."""
-        return sum(self.cost[i] for i in sorted(items))
+        """Total cost of the given item indices, summed from ``0.0`` in
+        ascending index order, so the same items always give the same
+        float and no items give ``0.0``."""
+        return sum((self.cost[i] for i in sorted(items)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -159,9 +160,23 @@ def normalize(raw_costs, raw_limit: float) -> Instance:
     return Instance(names, cost, raw_limit / scale)
 
 
+def _beyond_float(x: int | float) -> bool:
+    """True for an ``int`` too large in magnitude to convert to a float,
+    which ``math.isfinite`` and float arithmetic reject with a raw
+    ``OverflowError``.  Error messages do not print such an ``int``:
+    ``str`` refuses one of more than 4300 digits."""
+    try:
+        float(x)
+    except OverflowError:
+        return True
+    return False
+
+
 def _check_cost(name: str, c: float) -> None:
     if isinstance(c, bool) or not isinstance(c, (int, float)):
         raise InvalidCost(f"item {name!r} has cost {c!r}, which is not a number")
+    if _beyond_float(c):
+        raise InvalidCost(f"item {name!r} has an integer cost too large for a finite float")
     if not math.isfinite(c):
         raise InvalidCost(f"item {name!r} has non-finite cost {c}")
     if not c > 0:
@@ -171,6 +186,8 @@ def _check_cost(name: str, c: float) -> None:
 def _check_limit(limit: float) -> None:
     if isinstance(limit, bool) or not isinstance(limit, (int, float)):
         raise InvalidLimit(f"limit must be a number, got {limit!r}")
+    if _beyond_float(limit):
+        raise InvalidLimit("limit is an integer too large for a finite float")
     if not math.isfinite(limit):
         raise InvalidLimit(f"limit must be finite, got {limit}")
     if limit < 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ._bits import subsets_within
-from .axioms import _GroupTable, _selection, implied_by, recheck_witness
+from .axioms import _GroupTable, _recheck_witness, _selection, implied_by
 from .errors import TooLargeForExact
 from .model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile
 
@@ -138,7 +138,7 @@ def replay_witnesses(
     table = _GroupTable(inst, profile)
     for indices, mask, total in _feasible_subsets(inst, exhaustive_only):
         report = table.report((mask, total), axiom)
-        if report.satisfied or not recheck_witness(inst, profile, Budget(frozenset(indices), total), report):
+        if report.satisfied or not _recheck_witness(inst, profile, Budget(frozenset(indices), total), report):
             return False
     return True
 

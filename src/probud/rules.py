@@ -416,16 +416,16 @@ def greedy_bjr_l(inst: Instance, profile: Profile) -> Budget:
 def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
     """Constructive procedure for an exhaustive BPJR-L budget.
 
-    Walk achievable bundle weights downward.  At each level, among the
-    not-yet-selected bundles of exactly that weight that still fit the
-    limit, take a bundle with maximal support among still-unserved voters
-    whenever that support meets the level's group-size threshold,
-    retiring the supporters; repeat at the same level until no bundle
-    qualifies, then descend.  Finally fill to exhaustiveness with the
-    shared cheapest-first fill.  The bundles come from one walk over the
-    feasible subsets (:func:`probud._bits.subsets_within`), so an
-    infeasible bundle is never offered.  Exponential in the number of
-    items (hard cap ``MAX_CONSTRUCT_ITEMS``).
+    Walk achievable bundle weights downward.  At each level, the options
+    are the unselected bundles of exactly that weight that still fit the
+    limit and whose supporters among still-unserved voters meet the
+    level's group-size threshold; take their ``min`` by (most support,
+    fewest items, smallest index tuple) and retire its supporters, until
+    no option is left.  Then fill to exhaustiveness cheapest first.  Each
+    bundle and its supporters are read once, from the preorder walk over
+    the feasible subsets (:func:`probud._bits.subsets_within`), so no
+    infeasible bundle is offered.  Exponential in the number of items
+    (hard cap ``MAX_CONSTRUCT_ITEMS``).
     """
     approvers = _require_profile(inst, profile)
     if profile.num_voters == 0:
@@ -436,44 +436,47 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
             f"bundle construction supports at most {MAX_CONSTRUCT_ITEMS} items, got {m}"
         )
     n = profile.num_voters
+    limit = inst.limit + TOL
 
-    pairs = sorted((w, mask) for _, mask, w in subsets_within(inst.cost, inst.limit + TOL))
-    weights = [w for w, _ in pairs]
+    # chain[d]: the supporters of the walk's latest bundle of d items.  In
+    # preorder a bundle comes right after its parent (itself without its
+    # largest item), with no bundle of the parent's size in between, so
+    # chain[d - 1] holds the parent's supporters.  The root is the empty
+    # bundle, which every voter supports.
+    chain = [(1 << n) - 1] * (m + 1)
+    bundles = []  # (weight, mask, supporters)
+    for indices, mask, w in subsets_within(inst.cost, limit):
+        if indices:
+            d = len(indices)
+            chain[d] = chain[d - 1] & approvers[indices[-1]]
+            bundles.append((w, mask, chain[d]))
+    bundles.sort()
+    weights = [w for w, _, _ in bundles]
 
     levels: list[float] = []
     for w in weights:
         if w >= 1.0 - TOL and (not levels or w - levels[-1] > TOL):
             levels.append(w)
-    levels.reverse()
 
     active = (1 << n) - 1  # voters not yet served, as a bitmask
     selected_mask = 0
     total = 0.0
-    for level in levels:
-        lo = bisect_left(weights, level - TOL)
-        hi = bisect_right(weights, level + TOL)
+    for level in reversed(levels):
+        window = bundles[bisect_left(weights, level - TOL):bisect_right(weights, level + TOL)]
         threshold = level * n / inst.limit - TOL
-        while total + level <= inst.limit + TOL:
-            best_key = None
-            for idx in range(lo, hi):
-                w, mask = pairs[idx]
+        while total + level <= limit:
+            options = []
+            for w, mask, supporters in window:
+                support = (active & supporters).bit_count()
                 # a level's weights may sit a tolerance above it
-                if mask & selected_mask or total + w > inst.limit + TOL:
-                    continue
-                supporters = active
-                for c in bits(mask):
-                    supporters &= approvers[c]
-                support = supporters.bit_count()
-                if support < threshold:
-                    continue
-                key = (-support, mask.bit_count(), tuple(bits(mask)))
-                if best_key is None or key < best_key:
-                    best_key, best_weight, best_mask, retired = key, w, mask, supporters
-            if best_key is None:
+                if not mask & selected_mask and total + w <= limit and support >= threshold:
+                    options.append(((-support, mask.bit_count(), tuple(bits(mask))), w, mask, supporters))
+            if not options:
                 break
-            selected_mask |= best_mask
-            total += best_weight
-            active &= ~retired
+            _, w, mask, supporters = min(options)
+            selected_mask |= mask
+            total += w
+            active &= ~supporters
 
     selected = set(bits(selected_mask))
     _fill(inst, selected, total, range(inst.num_items))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -18,9 +19,9 @@ from probud.axioms import (
     max_bundle_weight,
     recheck_witness,
 )
-from probud.errors import InvalidBudget, ProbudError, TooLargeForExact
+from probud.errors import InvalidBudget, InvalidProfile, ProbudError, TooLargeForExact
 from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, normalize
-from probud.oracle import enumerate_feasible
+from probud.oracle import enumerate_feasible, verify_implications
 
 from oracles import (
     brute_bjr_satisfied,
@@ -398,6 +399,81 @@ def test_witnesses_revalidate_from_scratch():
                 )
                 checked += 1
     assert checked > 50  # the sweep actually exercised violations
+
+
+# Instances of the tamper table, as (raw costs, raw limit, ballots).
+_EX1 = ({"c1": 2, "c2": 2, "c3": 1}, 3, [{0}, {0}, {1}, {1}])  # fixtures/ex1.pb
+_LOCAL = ({"x": 1}, 1, [{0}] * 3)
+# a limit just under 10 leaves the bundle {a, b} of weight 10 within one
+# tolerance of the lone voter's cap but over it
+_NEAR_CAP = ({"a": 1, "b": 9}, 10 - 5e-9, [{0, 1}])
+
+
+@pytest.mark.parametrize(
+    "instance, selection, axiom, report_changes, witness_changes",
+    [
+        (_EX1, [0, 2], "strong-bjr-l", {"satisfied": True}, {}),
+        (_EX1, [0, 2], "strong-bjr-l", {"witness": None}, {}),
+        (_EX1, [0, 2], "strong-bjr-l", {}, {"voters": frozenset({2, -1})}),
+        (_EX1, [0, 2], "strong-bjr-l", {}, {"voters": frozenset({2, 3, 7})}),
+        (_EX1, [], "strong-bjr-l", {}, {"voters": frozenset({False, 1})}),
+        (_EX1, [0, 2], "strong-bjr-l", {}, {"witness_bundle": frozenset({1.0})}),
+        (_EX1, [0, 2], "strong-bjr-l", {}, {"common_items": frozenset({1.0})}),
+        (_EX1, [0, 2], "strong-bjr-l", {}, {"witness_bundle": frozenset({1, 3})}),
+        (_EX1, [0, 2], "strong-bjr-l", {}, {"voters": frozenset()}),
+        (_EX1, [], "strong-bjr-l", {"axiom": AxiomId("strong-bjr", "w")}, {}),
+        (_EX1, [0, 2], "strong-bjr-l", {}, {"represented_weight": 1.0}),
+        (_EX1, [0, 2], "strong-bjr-l", {}, {"common_items": frozenset({0})}),
+        (_EX1, [0, 2], "strong-bjr-l", {}, {"level": 3.0}),
+        (_EX1, [0, 2], "strong-bjr-l", {}, {"witness_bundle": frozenset({0})}),
+        (_EX1, [0, 2], "strong-bjr-l", {}, {"witness_bundle": frozenset()}),
+        (_EX1, [0, 2], "strong-bjr-l", {"axiom": AxiomId("bjr", "l")}, {}),
+        (_LOCAL, [], "local-bpjr-l", {}, {"witness_bundle": frozenset()}),
+        (_LOCAL, [], "local-bpjr-l", {}, {"level": 0.5}),
+        (_NEAR_CAP, [], "local-bpjr-l", {}, {"witness_bundle": frozenset({0, 1}), "level": 10.0}),
+    ],
+    ids=["satisfied", "no-witness", "negative-voter", "voter-out-of-range", "bool-voter",
+         "float-bundle-item", "float-common-item", "bundle-item-out-of-range", "no-voters",
+         "zero-spend", "represented-weight", "common-items", "level-above-group",
+         "bundle-outside-common", "bjr-bundle-size", "bjr-unit-cost", "local-not-extending",
+         "local-bundle-weight", "local-level-above-cap"],
+)
+def test_a_tampered_witness_does_not_revalidate(instance, selection, axiom, report_changes, witness_changes):
+    # each case takes one of recheck_witness's False branches; a voter or
+    # item that is not an int in range used to revalidate or raise
+    # IndexError unless another test caught it
+    costs, limit, ballots = instance
+    inst, profile = normalize(costs, limit), Profile.of(ballots)
+    budget = Budget.of(inst, selection)
+    report = check_axiom(inst, profile, budget, AxiomId.parse(axiom))
+    assert recheck_witness(inst, profile, budget, report)
+    tampered = dataclasses.replace(report, witness=dataclasses.replace(report.witness, **witness_changes))
+    tampered = dataclasses.replace(tampered, **report_changes)
+    assert not recheck_witness(inst, profile, budget, tampered)
+
+
+def test_recheck_witness_admits_the_profile_then_the_budget(ex1):
+    _, inst, profile = ex1
+    budget = Budget.of(inst, [0, 2])
+    report = check_axiom(inst, profile, budget, AxiomId("strong-bjr", "l"))
+    wrong_total = Budget(frozenset({0, 2}), 0.0)
+    with pytest.raises(InvalidBudget):
+        recheck_witness(inst, profile, wrong_total, report)
+    with pytest.raises(InvalidBudget):
+        recheck_witness(inst, profile, Budget.of(inst, [0, 1]), report)  # infeasible
+    with pytest.raises(InvalidProfile):
+        recheck_witness(inst, Profile.of([{0}, {5}]), wrong_total, report)
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst, profile, budget: check_axiom(inst, profile, budget, AxiomId("bpjr", "l")),
+    lambda inst, profile, budget: evaluate_axioms(inst, profile, budget),
+    lambda inst, profile, budget: verify_implications(inst, profile, [budget]),
+], ids=["check_axiom", "evaluate_axioms", "verify_implications"])
+def test_an_over_limit_budget_is_rejected(ex1, call):
+    _, inst, profile = ex1
+    with pytest.raises(InvalidBudget, match="feasible"):
+        call(inst, profile, Budget.of(inst, [0, 1]))  # 2 + 2 > 3
 
 
 def _reference_cases():

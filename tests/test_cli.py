@@ -183,7 +183,8 @@ def test_gen_round_trip(tmp_path, capsys):
 @pytest.mark.parametrize("spec", [
     {"m": 5, "n": 3, "limit_fraction": 1e308},
     {"m": 5, "n": 3, "cost_model": "uniform", "cost_low": 1e308, "cost_high": 1.5e308},
-], ids=["limit", "cost-total"])
+    {"m": 5, "n": 3, "limit_fraction": 10**400},  # used to exit with an unexpected OverflowError
+], ids=["limit", "cost-total", "int-limit"])
 def test_gen_refuses_a_spec_whose_raw_numbers_overflow(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -193,6 +194,36 @@ def test_gen_refuses_a_spec_whose_raw_numbers_overflow(tmp_path, capsys, spec):
     assert code == 2
     assert captured.err.startswith("error: ") and "finite" in captured.err
     assert not out_path.exists()
+
+
+def test_empty_represented_weight_is_a_float_in_json(capsys):
+    # summed from the int 0, it used to print as 0 where strong-bjr-l prints 0.0
+    for axiom in ("strong-bpjr-l", "strong-bjr-l"):
+        code, out = run(capsys, "check", "--json", "--axiom", axiom, "--budget", "c1,c3", EX1)
+        assert code == 1
+        assert '"witness_represented_weight": 0.0,' in out
+
+
+@pytest.mark.parametrize("budget, code, shown", [
+    ("x1,x3", 1, ["x1", "x3"]),
+    ("apple,fig", 1, ["x1", "x3"]),
+    ("0, 2", 1, ["x1", "x3"]),
+    ("x2,fig", 1, ["x2", "x3"]),
+    ("kiwi", 2, "error: unknown item 'kiwi'\n"),
+    ("3", 2, "error: item index 3 out of range\n"),
+], ids=["ids", "display-names", "indices", "mixed", "unknown", "index-out-of-range"])
+def test_check_budget_names_items_by_id_display_name_or_index(tmp_path, capsys, budget, code, shown):
+    text = (FIXTURES / "ex1.pb").read_text()
+    for item_id, name in (("c1", "apple"), ("c2", "pear"), ("c3", "fig")):
+        text = text.replace(f"{item_id}, {item_id},", f"x{item_id[1]}, {name},").replace(item_id, f"x{item_id[1]}")
+    path = tmp_path / "named.pb"
+    path.write_text(text)
+    assert main(["check", "--json", "--axiom", "strong-bjr-l", "--budget", budget, str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == "" and captured.err == shown
+    else:
+        assert json.loads(captured.out)["budget"] == shown
 
 
 def test_usage_error_exit_two(capsys):

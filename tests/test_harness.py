@@ -62,6 +62,29 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 6
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("[meta]\nlimit = 2\n[weird]\n", 3, "unknown section [weird]"),
+    ("name = x\n[meta]\nlimit = 2\n", 1, "content before any section header"),
+    ("# blank and comment lines count\n\n[meta]\nlimit 2\n", 4, "expected 'key = value'"),
+    ("[meta]\ncolour = red\n", 2, "unknown meta key 'colour'"),
+    ("[meta]\nlimit = 2\nlimit = 3\n", 3, "duplicate meta key 'limit'"),
+    ("[meta]\nlimit = 2\n[items]\n, a, 1\n", 4, "missing item id"),
+    ("[meta]\nlimit = 2\n[items]\na, a, cheap\n", 4, "bad cost 'cheap'"),
+    ("[meta]\nlimit = 2\n[items]\na, a, 1\n[ballots]\n, a\n", 6, "missing voter id"),
+    ("[meta]\nlimit = lots\n[items]\na, a, 1\n", 2, "bad limit 'lots'"),
+    ("[meta]\nlimit = 2\nn = two\n[items]\na, a, 1\n", 3, "bad n 'two'"),
+    ("[meta]\nname = x\n[items]\na, a, 1\n", None, "missing 'limit' in [meta]"),
+    ("[meta]\nlimit = 2\n[items]\n[ballots]\n", None, "no items declared"),
+], ids=["unknown-section", "before-section", "no-equals", "unknown-key", "duplicate-key",
+        "missing-item-id", "bad-cost", "missing-voter-id", "bad-limit", "bad-count",
+        "missing-limit", "no-items"])
+def test_parse_error_names_its_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance_file(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
 def test_parse_duplicate_item_id():
     text = "[meta]\nlimit = 2\n[items]\na, a, 1\na, other, 2\n[ballots]\n"
     with pytest.raises(DuplicateItem):
@@ -209,6 +232,30 @@ def test_genspec_validation():
 def test_genspec_rejects_a_field_of_the_wrong_type(key, value):
     with pytest.raises(InvalidSpec):
         GenSpec.from_dict({"m": 3, "n": 3, key: value})
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"m": 3, "n": 0}', "need at least one voter"),
+    ('{"m": 3, "n": 3, "ballot_model": "exotic"}', "unknown ballot model 'exotic'"),
+    ('{"m": 3, "n": 3, "cost_low": 5, "cost_high": 4}', "need 0 < cost_low <= cost_high"),
+    ('{"m": 3, "n": 3, "group_overlap": 1.5}', r"group_overlap must be in \[0, 1\]"),
+    ('{"m": 3, "n": 3, "group_overlap": -0.1}', r"group_overlap must be in \[0, 1\]"),
+    ('{"m": 3, "n": 3, "group_count": 0}', "group_count must be at least 1"),
+    ('{"m": 3, "n": 3, "limit_fraction": 0}', "limit_fraction must be positive"),
+    ('{"m": 3, "n": 3,', "bad generator spec"),
+    ("[3, 3]", "generator spec must be a JSON object"),
+    ('{"m": 3, "n": 3, "limit_fraction": 1%s}' % ("0" * 400), "limit_fraction is an integer too large"),
+    ('{"m": 3, "n": 3, "cost_model": "uniform", "cost_low": 1%s, "cost_high": 1%s}' % ("0" * 400, "0" * 401),
+     "cost_low is an integer too large"),
+    ('{"m": 3, "n": 3, "limit_fraction": 1%s}' % ("0" * 5000), "bad generator spec"),
+], ids=["no-voters", "unknown-ballot-model", "cost-low-above-high", "overlap-above-one",
+        "overlap-below-zero", "no-groups", "zero-limit-fraction", "malformed-json", "not-an-object",
+        "huge-int-limit-fraction", "huge-int-costs", "int-of-5001-digits"])
+def test_genspec_from_json_rejects_an_impossible_spec(text, message):
+    # the huge ints used to pass construction and overflow in generate; an
+    # int of over 4300 digits made json.loads raise a raw ValueError
+    with pytest.raises(InvalidSpec, match=message):
+        generate(GenSpec.from_json(text))
 
 
 def test_genspec_rejects_impossible_limit():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from probud.axioms import check_axiom, evaluate_axioms
-from probud.errors import InvalidBudget, InvalidCost, InvalidLimit, InvalidProfile, ProbudError
+from probud.errors import InvalidBudget, InvalidChoice, InvalidCost, InvalidLimit, InvalidProfile, ProbudError
 from probud.model import (
     ALL_AXIOMS,
     TOL,
@@ -17,6 +17,7 @@ from probud.model import (
     is_feasible,
     normalize,
 )
+from probud.oracle import enumerate_feasible
 from probud.rules import bpjr_construct, gpseq, greedy_bjr_l, min_max_load
 
 from suites import suite_instance
@@ -97,15 +98,55 @@ def test_instance_rejects_non_finite_numbers():
         (lambda: Instance(("a",), (1.0,), "3"), InvalidLimit),
         (lambda: Instance(("a",), (True,), 1.0), InvalidCost),
         (lambda: Instance(("a",), (1.0,), False), InvalidLimit),
+        (lambda: normalize({"a": 1}, 10**400), InvalidLimit),
+        (lambda: normalize({"a": 10**400, "b": 1}, 3), InvalidCost),
+        (lambda: normalize({"a": 1, "b": -(10**400)}, 3), InvalidCost),
+        (lambda: Instance(("a",), (1.0,), 10**400), InvalidLimit),
+        (lambda: Instance(("a", "b"), (1.0, 10**5000), 2.0), InvalidCost),
     ],
     ids=["str-cost", "none-cost", "bool-cost", "str-limit", "bool-limit",
-         "instance-str-limit", "instance-bool-cost", "instance-bool-limit"],
+         "instance-str-limit", "instance-bool-cost", "instance-bool-limit",
+         "huge-int-limit", "huge-int-cost", "huge-negative-int-cost",
+         "instance-huge-int-limit", "instance-huge-int-cost"],
 )
 def test_non_numeric_costs_and_limits_are_rejected(build, error):
     # a string or None used to reach math.isfinite and raise a raw
-    # TypeError; a bool used to be read silently as 0 or 1
+    # TypeError; a bool used to be read silently as 0 or 1; an int beyond
+    # float range made math.isfinite raise a raw OverflowError (and one of
+    # over 4300 digits cannot even be printed in the message)
     with pytest.raises(error):
         build()
+
+
+def _ballot_out_of_range():
+    inst = Instance(("a", "b"), (1.0, 1.0), 2.0)
+    return check_axiom(inst, Profile.of([[0], [2]]), Budget.of(inst, [0]), AxiomId("bjr", "l"))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Instance((), (), 1.0), InvalidCost, "at least one item"),
+        (lambda: normalize({}, 1.0), InvalidCost, "at least one item"),
+        (lambda: Instance(("a", "b"), (1.0,), 1.0), InvalidCost, "differ in length"),
+        (lambda: AxiomId("bjr", "x"), InvalidChoice, "unknown axiom variant"),
+        (_ballot_out_of_range, InvalidProfile, "voter 1 approves unknown item index 2"),
+    ],
+    ids=["instance-no-items", "normalize-no-items", "mismatched-lengths", "unknown-variant",
+         "ballot-index-out-of-range"],
+)
+def test_malformed_model_input_raises_its_package_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_empty_sums_are_floats():
+    # summing from the int 0 used to give an empty budget a total of 0,
+    # where the enumeration walk gives 0.0
+    inst = normalize({"a": 1.0, "b": 2.0}, 2.0)
+    assert repr(Budget.of(inst, []).total_cost) == "0.0"
+    assert repr(inst.weight([])) == "0.0"
+    assert Budget.of(inst, []) == enumerate_feasible(inst)[0]
 
 
 def test_int_and_float_subclass_costs_and_limits_are_accepted():

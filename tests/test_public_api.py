@@ -1,10 +1,18 @@
 """The README's "Library surface" import block runs, and every name it
-documents is exported through ``probud.__all__``."""
+documents is exported through ``probud.__all__``; each ``$ probud ...``
+CLI example prints what the README shows."""
 
 import ast
+import contextlib
+import io
 import pathlib
+import re
+import shlex
+
+import pytest
 
 import probud
+from probud.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +35,36 @@ def test_readme_library_surface_names_are_in_all():
     names = [alias.name for node in imports for alias in node.names]
     assert len(names) > 20
     assert sorted(set(names) - set(probud.__all__)) == []
+
+
+def _cli_examples() -> list[tuple[str, list[str]]]:
+    """Each ``$ probud ...`` command of the README's CLI examples with the
+    lines shown under it, up to the next blank line."""
+    section = README.read_text().split("Examples, using the bundled fixtures:", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    examples = [example.partition("\n") for example in block.strip().split("\n\n")]
+    assert examples and all(command.startswith("$ probud ") for command, _, _ in examples)
+    return [(command[2:], shown.splitlines()) for command, _, shown in examples]
+
+
+CLI_EXAMPLES = _cli_examples()
+
+
+@pytest.mark.parametrize("command, shown", CLI_EXAMPLES, ids=[command.split()[1] for command, _ in CLI_EXAMPLES])
+def test_readme_cli_example_prints_what_it_shows(monkeypatch, command, shown):
+    # a trailing "; echo $?" shows the exit code as the last line; without
+    # it the command must succeed
+    command, echo, _ = command.partition(" ; echo $?")
+    argv = shlex.split(command)
+    assert argv[0] == "probud"
+    expected_code = 0
+    if echo:
+        shown, expected_code = shown[:-1], int(shown[-1])
+    monkeypatch.chdir(README.parent)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv[1:])
+    assert code == expected_code
+    # a "..." line stands for any number of printed lines
+    pattern = "".join(r"(?:.*\n)*?" if line == "..." else re.escape(line) + r"\n" for line in shown)
+    assert re.fullmatch(pattern, out.getvalue()), out.getvalue()

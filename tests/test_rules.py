@@ -3,7 +3,7 @@ import random
 import pytest
 
 from probud.axioms import check_bjr_poly, check_bpjr, check_local_bpjr, evaluate_axioms
-from probud.errors import InvalidProfile, NoApprover, ProbudError
+from probud.errors import InvalidProfile, NoApprover, ProbudError, TooLargeForExact
 from probud.harness import GenSpec, generate, generate_file
 from probud.model import TOL, AxiomId, Budget, Instance, Profile, is_exhaustive, is_feasible, normalize
 from probud.oracle import enumerate_feasible
@@ -307,6 +307,17 @@ def test_gpseq_rejects_empty_profile(ex1):
     _, inst, _ = ex1
     with pytest.raises(InvalidProfile):
         gpseq(inst, Profile(()))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: greedy_bjr_l(normalize({"a": 1.0}, 1.0), Profile(())), InvalidProfile, "at least one voter"),
+    (lambda: bpjr_construct(normalize({"a": 1.0}, 1.0), Profile(())), InvalidProfile, "at least one voter"),
+    (lambda: bpjr_construct(Instance(tuple(f"c{j}" for j in range(26)), (1.0,) * 26, 1.0), Profile.of([{0}])),
+     TooLargeForExact, "at most 25 items, got 26"),
+], ids=["greedy-no-voters", "construct-no-voters", "construct-26-items"])
+def test_rules_refuse_input_they_cannot_serve(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_gpseq_output_feasible_and_approved_exhaustive():
