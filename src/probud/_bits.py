@@ -1,11 +1,15 @@
-"""Bitmask helpers and the one feasible-subset walk.
+"""Bitmask helpers and the ordered feasible-subset walk.
 
-:func:`subsets_within` is the only walk over item subsets in the package:
-budget enumeration, the CLI's ``enumerate`` and the constructive BPJR-L
-rule all read its ``(indices, mask, total)`` triples, and it decides
-exhaustiveness in one comparison per subset.  Subset totals are summed
-in ascending item order here, as in ``Instance.weight``, so the same
-items always give the same float.
+:func:`subsets_within` serves the callers that need every feasible
+subset in lexicographic order, or need to know which ones are
+exhaustive: budget enumeration, ``certify``, ``verify-implications`` and
+the CLI's ``enumerate`` all read its ``(indices, mask, total)`` triples,
+and it decides exhaustiveness in one comparison per subset.  Tables of
+subsets whose order does not matter (the constructive BPJR-L rule's
+bundles, the knapsack's halves) are doubled item by item where they are
+built.  Subset totals are summed in ascending item order here, as in
+``Instance.weight`` and in those doublings, so the same items always
+give the same float.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ def subsets_within(
     """Every item subset costing at most ``bound`` (non-negative), as
     ``(indices, mask, total)`` with ``indices`` the sorted index tuple, in
     lexicographic order of those tuples; with ``exhaustive_only``, just
-    the subsets to which no further item can be added.
+    the subsets to which no further item can be added.  Its consumers are
+    enumeration, ``certify``, ``verify-implications`` and the CLI, which
+    rely on that order and on the exhaustiveness test.
 
     A preorder walk from an explicit stack, extending each subset only by
     items above its largest; no 2^m table is built.  Costs must be

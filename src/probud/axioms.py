@@ -52,13 +52,14 @@ every deficit is one unit, streams in (voter tuple, item) order.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from ._bits import MaskWeights, bits, mask_of
-from .errors import InvalidBudget, InvalidChoice, TooLargeForExact
+from .errors import InvalidBudget, InvalidChoice, InvalidLimit, TooLargeForExact
 from .model import (
     ALL_AXIOMS,
     AXIOM_VARIANTS,
@@ -67,6 +68,8 @@ from .model import (
     Budget,
     Instance,
     Profile,
+    _beyond_float,
+    _check_cost,
     _require_profile,
     is_feasible,
 )
@@ -116,8 +119,15 @@ def max_bundle(costs: Mapping, cap: float) -> tuple[float, frozenset]:
 
     Exact via half-set enumeration, hence at most
     ``MAX_EXACT_BUNDLE_ITEMS`` items.  The empty bundle always fits, so
-    the result is 0 when no single item does.
+    the result is 0 when no single item does.  Each cost must be positive
+    and finite, as for :func:`normalize` (else ``InvalidCost``); ``cap``
+    may be any number in float range but NaN, ``inf`` included (else
+    ``InvalidLimit``).
     """
+    for key, c in costs.items():
+        _check_cost(key, c)
+    if isinstance(cap, bool) or not isinstance(cap, (int, float)) or _beyond_float(cap) or math.isnan(cap):
+        raise InvalidLimit("cap must be a number in float range, not NaN")
     keys = list(costs)
     if len(keys) > MAX_EXACT_BUNDLE_ITEMS:
         raise TooLargeForExact(
@@ -133,31 +143,29 @@ def max_bundle_weight(costs: Mapping, cap: float) -> float:
     return max_bundle(costs, cap)[0]
 
 
-def _subset_pairs(values: Sequence[float], positions: Sequence[int]) -> list[tuple[float, int]]:
-    # all (sum, bitmask-over-positions) pairs of one half
+def _subset_pairs(values: Sequence[float], positions: Sequence[int], bound: float) -> list[tuple[float, int]]:
+    # the (sum, bitmask-over-positions) pairs of one half's subsets that fit
+    # under bound (costs are positive, so a subset fits iff all its prefixes
+    # do), in the order an unbounded doubling would list them
     out = [(0.0, 0)]
     for value, pos in zip(values, positions):
         bit = 1 << pos
-        out.extend([(s + value, m | bit) for s, m in out])
+        out += [(s + value, m | bit) for s, m in out if s + value <= bound]
     return out
 
 
 def _max_bundle_over(values: Sequence[float], positions: Sequence[int], cap: float) -> tuple[float, int]:
     bound = cap + TOL
-    if bound < 0 or not values:
+    if bound < 0:
         return 0.0, 0
     half = len(values) // 2
-    left = _subset_pairs(values[:half], positions[:half])
-    right = _subset_pairs(values[half:], positions[half:])
-    right.sort()
+    left = _subset_pairs(values[:half], positions[:half], bound)
+    right = sorted(_subset_pairs(values[half:], positions[half:], bound))
     right_sums = [s for s, _ in right]
     best_weight, best_mask = 0.0, 0
     for s, m in left:
-        if s > bound:
-            continue
+        # right_sums[0] is the empty subset's 0.0, and bound - s >= 0
         i = bisect_right(right_sums, bound - s) - 1
-        if i < 0:
-            continue
         total = s + right_sums[i]
         if total > best_weight + 1e-12:
             best_weight, best_mask = total, m | right[i][1]
@@ -298,6 +306,8 @@ class _GroupTable:
         return {axiom: self.holds(selection, axiom) for axiom in ALL_AXIOMS}
 
     def _admit(self, axiom: AxiomId) -> None:
+        if not isinstance(axiom, AxiomId):
+            raise InvalidChoice(f"expected an AxiomId, got a {type(axiom).__name__}; AxiomId.parse reads axiom id text")
         if axiom.family not in _BJR_FAMILIES and self.n > MAX_EXACT_VOTERS:
             raise TooLargeForExact(
                 f"exact subset sweep supports at most {MAX_EXACT_VOTERS} voters, got {self.n}"
@@ -391,8 +401,8 @@ def check_bjr_poly(inst: Instance, profile: Profile, budget: Budget, axiom: Axio
     strong family (normalization makes every shared item weigh at least
     one unit), an item of cost exactly 1 for plain BJR.
     """
-    if axiom.family not in _BJR_FAMILIES:
-        raise InvalidChoice(f"check_bjr_poly handles {_BJR_FAMILIES}, got {axiom.family!r}")
+    if not isinstance(axiom, AxiomId) or axiom.family not in _BJR_FAMILIES:
+        raise InvalidChoice(f"check_bjr_poly handles {_BJR_FAMILIES}, got {axiom!r}")
     return check_axiom(inst, profile, budget, axiom)
 
 

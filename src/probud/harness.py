@@ -1,6 +1,7 @@
 """Instance files and random instance generation.
 
-The file format is line oriented with three sections::
+The file format is line oriented with three sections, as in the bundled
+``fixtures/ex1.pb``::
 
     [meta]
     name = ex1
@@ -8,14 +9,25 @@ The file format is line oriented with three sections::
     n = 4
     limit = 3
     [items]
-    c1, c1, 2          # id, display name, raw cost
+    c1, c1, 2
+    c2, c2, 2
+    c3, c3, 1
     [ballots]
-    1, c1              # voter id, approved item ids
+    1, c1
+    2, c1
+    3, c2
+    4, c2
+
+``[meta]`` holds the instance name, the raw limit and, optionally, the
+item count ``m`` and voter count ``n``, which are checked when present.
+Each ``[items]`` line is an item id, a display name and a raw cost; each
+``[ballots]`` line is a voter id followed by the ids of the items that
+voter approves (none for an empty ballot).
 
 Files store raw (pre-normalization) costs; ``to_model`` normalizes.
-Blank lines and lines starting with ``#`` are ignored.  ``serialize``
-emits the canonical form, and parse -> serialize -> parse is the
-identity.
+Blank lines and lines starting with ``#`` are ignored; a ``#`` later in
+a line is not a comment.  ``serialize`` emits the canonical form, and
+parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -29,6 +41,13 @@ from .model import TOL, Instance, Profile, _beyond_float, normalize
 
 _SECTIONS = ("meta", "items", "ballots")
 _META_KEYS = ("name", "m", "n", "limit")
+
+#: Upper bounds on a generator spec's item and voter counts.  The
+#: generator builds lists of these lengths and draws one number per
+#: (voter, item) pair, so the caps keep a spec from asking for billions;
+#: no exact routine of the package runs past 25 items or 22 voters.
+MAX_GEN_ITEMS = 1000
+MAX_GEN_VOTERS = 2000
 
 
 @dataclass(frozen=True)
@@ -203,7 +222,8 @@ class GenSpec:
     approving its own chunk of items entirely plus every other item with
     probability ``group_overlap``).  The raw limit is ``limit_fraction``
     times the total raw cost.  A field of the wrong type, a ``bool``
-    included, or an ``int`` beyond float range in a float field raises
+    included, an ``int`` beyond float range in a float field, or more
+    than ``MAX_GEN_ITEMS`` items or ``MAX_GEN_VOTERS`` voters raises
     ``InvalidSpec``.
     """
 
@@ -232,6 +252,11 @@ class GenSpec:
             raise InvalidSpec("need at least one item")
         if self.num_voters < 1:
             raise InvalidSpec("need at least one voter")
+        # the value is not printed: str refuses an int of over 4300 digits
+        if self.num_items > MAX_GEN_ITEMS:
+            raise InvalidSpec(f"num_items must be at most {MAX_GEN_ITEMS}")
+        if self.num_voters > MAX_GEN_VOTERS:
+            raise InvalidSpec(f"num_voters must be at most {MAX_GEN_VOTERS}")
         if self.cost_model not in ("unit", "uniform", "heavy-tail"):
             raise InvalidSpec(f"unknown cost model {self.cost_model!r}")
         if self.ballot_model not in ("impartial", "groups"):

@@ -224,13 +224,14 @@ def _require_items(inst: Instance, items: Iterable[int]) -> None:
 
 def _require_budget(inst: Instance, budget: Budget) -> None:
     _require_items(inst, budget.selected)
+    total = budget.total_cost
+    if isinstance(total, bool) or not isinstance(total, (int, float)) or _beyond_float(total):
+        raise InvalidBudget("budget total cost is not a number in float range")
     # every "w" entitlement is measured against total_cost; a caller's
     # total summed in another order may differ by rounding, relative to size
     weight = inst.weight(budget.selected)
-    if not abs(budget.total_cost - weight) <= TOL * max(1.0, weight):  # NaN fails too
-        raise InvalidBudget(
-            f"budget total cost {budget.total_cost} disagrees with its items' cost {weight}"
-        )
+    if not abs(total - weight) <= TOL * max(1.0, weight):  # NaN fails too
+        raise InvalidBudget(f"budget total cost {total} disagrees with its items' cost {weight}")
 
 
 def _require_profile(inst: Instance, profile: Profile) -> list[int]:

@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ._bits import bits, subsets_within
+from ._bits import bits
 from .errors import InvalidChoice, InvalidProfile, NoApprover, TooLargeForExact
 from .model import TOL, Budget, Instance, Profile, _require_items, _require_profile
 
@@ -421,11 +421,11 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
     limit and whose supporters among still-unserved voters meet the
     level's group-size threshold; take their ``min`` by (most support,
     fewest items, smallest index tuple) and retire its supporters, until
-    no option is left.  Then fill to exhaustiveness cheapest first.  Each
-    bundle and its supporters are read once, from the preorder walk over
-    the feasible subsets (:func:`probud._bits.subsets_within`), so no
-    infeasible bundle is offered.  Exponential in the number of items
-    (hard cap ``MAX_CONSTRUCT_ITEMS``).
+    no option is left.  Then fill to exhaustiveness cheapest first.  The
+    feasible bundles and their supporters are built once, by doubling the
+    table of bundles that fit item by item, so no infeasible bundle is
+    offered.  Exponential in the number of items (hard cap
+    ``MAX_CONSTRUCT_ITEMS``).
     """
     approvers = _require_profile(inst, profile)
     if profile.num_voters == 0:
@@ -438,18 +438,15 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
     n = profile.num_voters
     limit = inst.limit + TOL
 
-    # chain[d]: the supporters of the walk's latest bundle of d items.  In
-    # preorder a bundle comes right after its parent (itself without its
-    # largest item), with no bundle of the parent's size in between, so
-    # chain[d - 1] holds the parent's supporters.  The root is the empty
-    # bundle, which every voter supports.
-    chain = [(1 << n) - 1] * (m + 1)
-    bundles = []  # (weight, mask, supporters)
-    for indices, mask, w in subsets_within(inst.cost, limit):
-        if indices:
-            d = len(indices)
-            chain[d] = chain[d - 1] & approvers[indices[-1]]
-            bundles.append((w, mask, chain[d]))
+    # Every feasible bundle with its supporters, doubled item by item.  A
+    # bundle's items join in ascending index order, so its weight is the
+    # float Instance.weight gives; the empty bundle stays, below every level.
+    # axioms._subset_pairs doubles alike but carries no supporters, so the
+    # two are kept apart rather than made to branch on their caller.
+    bundles = [(0.0, 0, (1 << n) - 1)]  # (weight, mask, supporters)
+    for c, (cost, voters) in enumerate(zip(inst.cost, approvers)):
+        bit = 1 << c
+        bundles += [(w + cost, mask | bit, sup & voters) for w, mask, sup in bundles if w + cost <= limit]
     bundles.sort()
     weights = [w for w, _, _ in bundles]
 

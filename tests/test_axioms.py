@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -19,9 +20,17 @@ from probud.axioms import (
     max_bundle_weight,
     recheck_witness,
 )
-from probud.errors import InvalidBudget, InvalidProfile, ProbudError, TooLargeForExact
-from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, normalize
-from probud.oracle import enumerate_feasible, verify_implications
+from probud.errors import (
+    InvalidBudget,
+    InvalidChoice,
+    InvalidCost,
+    InvalidLimit,
+    InvalidProfile,
+    ProbudError,
+    TooLargeForExact,
+)
+from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, is_feasible, normalize
+from probud.oracle import certify_existence, enumerate_feasible, replay_witnesses, verify_implications
 
 from oracles import (
     brute_bjr_satisfied,
@@ -83,6 +92,24 @@ def test_max_bundle_fits_cap_and_is_achieved(costs, cap):
     assert max_bundle_weight(table, cap + 1.0) >= weight - TOL
     if cap >= sum(costs):
         assert weight == pytest.approx(sum(costs), abs=1e-9)
+
+
+@pytest.mark.parametrize("costs, cap, weight, bundle", [
+    ({"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}, 2.0, 2.0, {"c", "d"}),
+    ({"a": 2.0, "b": 1.0, "c": 1.0, "d": 2.0, "e": 1.0}, 3.0, 3.0, {"d", "e"}),
+    ({k: 1.5 for k in "abcdef"}, 4.5, 4.5, {"d", "e", "f"}),
+    ({"a": 1.0, "b": 2.0, "c": 3.0, "d": 1.0, "e": 2.0, "f": 3.0}, 4.0, 4.0, {"d", "f"}),
+    ({"a": 3.0, "b": 3.0, "c": 1.0}, 3.5, 3.0, {"b"}),
+    ({"a": 1.0}, 0.5, 0.0, set()),
+    ({}, 3.0, 0.0, set()),
+    ({"a": 1.0, "b": 2.0}, -1.0, 0.0, set()),
+    ({"a": 1.0, "b": 2.0, "c": 2.0}, math.inf, 5.0, {"a", "b", "c"}),
+], ids=["four-ones", "twos-and-ones", "six-halves", "pairs", "left-item-ties-right", "nothing-fits",
+        "empty", "negative-cap", "infinite-cap"])
+def test_max_bundle_keeps_its_choice_among_equally_heavy_bundles(costs, cap, weight, bundle):
+    # the left half's subsets are read in doubling order, each paired with
+    # the heaviest right half that fits, and a tie keeps the first pair
+    assert max_bundle(costs, cap) == (weight, frozenset(bundle))
 
 
 # ---------------------------------------------------------- polynomial BJR
@@ -450,6 +477,33 @@ def test_a_tampered_witness_does_not_revalidate(instance, selection, axiom, repo
     tampered = dataclasses.replace(report, witness=dataclasses.replace(report.witness, **witness_changes))
     tampered = dataclasses.replace(tampered, **report_changes)
     assert not recheck_witness(inst, profile, budget, tampered)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda inst, profile: check_axiom(inst, profile, Budget.of(inst, [0]), "bjr-l"), InvalidChoice),
+    (lambda inst, profile: check_bjr_poly(inst, profile, Budget.of(inst, [0]), "bjr-l"), InvalidChoice),
+    (lambda inst, profile: certify_existence(inst, profile, "bjr-l"), InvalidChoice),
+    (lambda inst, profile: replay_witnesses(inst, profile, "bjr-l"), InvalidChoice),
+    (lambda inst, profile: max_bundle_weight({"a": 1.0}, math.nan), InvalidLimit),
+    (lambda inst, profile: max_bundle_weight({"a": 1.0}, "3"), InvalidLimit),
+    (lambda inst, profile: max_bundle_weight({"a": 1.0}, 10**400), InvalidLimit),
+    (lambda inst, profile: max_bundle_weight({"a": -5.0, "b": 3.0}, 2), InvalidCost),
+    (lambda inst, profile: max_bundle_weight({"a": 0.0}, 2), InvalidCost),
+    (lambda inst, profile: max_bundle_weight({"a": math.inf}, 2), InvalidCost),
+    (lambda inst, profile: max_bundle_weight({"a": "x"}, 1), InvalidCost),
+    (lambda inst, profile: is_feasible(inst, Budget(frozenset({0}), "x")), InvalidBudget),
+    (lambda inst, profile: is_feasible(inst, Budget(frozenset({2}), True)), InvalidBudget),
+    (lambda inst, profile: is_feasible(inst, Budget(frozenset({0}), 10**400)), InvalidBudget),
+], ids=["check_axiom-text", "check_bjr_poly-text", "certify_existence-text", "replay_witnesses-text",
+        "nan-cap", "text-cap", "huge-int-cap", "negative-cost", "zero-cost", "infinite-cost",
+        "text-cost", "text-total", "bool-total", "huge-int-total"])
+def test_malformed_public_arguments_raise_package_errors(ex1, call, error):
+    # each used to raise a raw AttributeError, TypeError or OverflowError,
+    # or to answer: a NaN cap, a non-positive or infinite cost and a bool
+    # total were read as numbers
+    _, inst, profile = ex1
+    with pytest.raises(error):
+        call(inst, profile)
 
 
 def test_recheck_witness_admits_the_profile_then_the_budget(ex1):

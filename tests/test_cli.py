@@ -196,6 +196,17 @@ def test_gen_refuses_a_spec_whose_raw_numbers_overflow(tmp_path, capsys, spec):
     assert not out_path.exists()
 
 
+def test_gen_refuses_a_401_digit_item_count(tmp_path, capsys):
+    # it used to exit with an unexpected OverflowError from generate_file
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"m": 1%s, "n": 3}' % ("0" * 400))
+    out_path = tmp_path / "huge.pb"
+    code = main(["gen", "--spec", str(spec_path), "-o", str(out_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: num_items must be at most 1000\n"
+    assert not out_path.exists()
+
+
 def test_empty_represented_weight_is_a_float_in_json(capsys):
     # summed from the int 0, it used to print as 0 where strong-bjr-l prints 0.0
     for axiom in ("strong-bpjr-l", "strong-bjr-l"):

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from probud.errors import DuplicateItem, InvalidCost, InvalidProfile, InvalidSpec, ParseError
 from probud.harness import (
+    MAX_GEN_ITEMS,
+    MAX_GEN_VOTERS,
     GenSpec,
     InstanceFile,
     generate,
@@ -256,6 +258,27 @@ def test_genspec_from_json_rejects_an_impossible_spec(text, message):
     # int of over 4300 digits made json.loads raise a raw ValueError
     with pytest.raises(InvalidSpec, match=message):
         generate(GenSpec.from_json(text))
+
+
+@pytest.mark.parametrize("num_items, num_voters, message", [
+    (10**9, 3, "num_items must be at most 1000"),
+    (3, 10**9, "num_voters must be at most 2000"),
+    (10**400, 3, "num_items must be at most 1000"),
+    (3, 10**400, "num_voters must be at most 2000"),
+    (MAX_GEN_ITEMS + 1, MAX_GEN_VOTERS, "num_items"),
+    (MAX_GEN_ITEMS, MAX_GEN_VOTERS + 1, "num_voters"),
+], ids=["billion-items", "billion-voters", "401-digit-items", "401-digit-voters", "items-past-cap",
+        "voters-past-cap"])
+def test_genspec_caps_its_item_and_voter_counts(num_items, num_voters, message):
+    # only construction is tried: generating such a spec would build lists
+    # of that length (a 401-digit count used to overflow in generate_file)
+    with pytest.raises(InvalidSpec, match=message):
+        GenSpec(num_items=num_items, num_voters=num_voters)
+
+
+def test_genspec_accepts_counts_at_its_caps():
+    spec = GenSpec(num_items=MAX_GEN_ITEMS, num_voters=MAX_GEN_VOTERS)
+    assert (spec.num_items, spec.num_voters) == (MAX_GEN_ITEMS, MAX_GEN_VOTERS)
 
 
 def test_genspec_rejects_impossible_limit():

@@ -1,6 +1,7 @@
 """The README's "Library surface" import block runs, and every name it
 documents is exported through ``probud.__all__``; each ``$ probud ...``
-CLI example prints what the README shows."""
+CLI example prints what the README shows; the instance file shown in the
+``probud.harness`` docstring parses."""
 
 import ast
 import contextlib
@@ -8,11 +9,13 @@ import io
 import pathlib
 import re
 import shlex
+import textwrap
 
 import pytest
 
 import probud
 from probud.cli import main
+from probud.harness import parse_instance_file
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -68,3 +71,14 @@ def test_readme_cli_example_prints_what_it_shows(monkeypatch, command, shown):
     # a "..." line stands for any number of printed lines
     pattern = "".join(r"(?:.*\n)*?" if line == "..." else re.escape(line) + r"\n" for line in shown)
     assert re.fullmatch(pattern, out.getvalue()), out.getvalue()
+
+
+def test_harness_docstring_example_is_the_fixture_it_names():
+    # it used to carry inline "# ..." notes, which the parser reads as
+    # part of a line, and declared m = 3 over a single item
+    doc = probud.harness.__doc__
+    assert "``fixtures/ex1.pb``::" in doc
+    example = textwrap.dedent(doc.split("``fixtures/ex1.pb``::\n\n", 1)[1].split("\n\n", 1)[0])
+    fixture = (README.parent / "fixtures" / "ex1.pb").read_text(encoding="utf-8")
+    assert example.strip() == fixture.strip()
+    assert parse_instance_file(example) == parse_instance_file(fixture)

@@ -640,3 +640,27 @@ def test_bpjr_construct_takes_only_bundles_that_fit(names, costs, limit, ballots
     assert sorted(budget.selected) == expected
     assert is_feasible(inst, budget)
     assert check_bpjr(inst, profile, budget, "l").satisfied
+
+
+@pytest.mark.parametrize(
+    "costs, limit, ballots, expected",
+    [
+        # level 1 + 1.3e-9 reaches down to {1} at 1 + 0.6e-9, which has
+        # the smaller index tuple; taking {2} would leave no room for {0}
+        ((1.0, 1 + 0.6e-9, 1 + 1.3e-9), 2.0, [{1, 2}], [0, 1]),
+        ((2 + 0.3e-9, 1.0, 2 + 1.3e-9), 3.0, [{0, 2}], [0, 1]),
+        ((1.0, 1 + 0.7e-9, 1.0, 1.0, 1 + 1.3e-9), 4.0, [{0, 2, 4}, {0, 2}, {2}, {0, 1, 4}, {1}], [0, 1, 2, 3]),
+        # 1, 1 + TOL/2 and 2 - TOL/3: distinct weights within TOL of a level
+        ((1.0, 1 + 0.5e-9, 2 - 0.3e-9), 2.0, [{0, 1}, {1, 2}, {2}], [0, 1]),
+        ((1.0, 1 + 0.6e-9, 1 + 1.2e-9, 1 + 1.8e-9), 2.0, [{0, 3}, {1, 2}, {2, 3}, {3}], [3]),
+    ],
+    ids=["window-below-level", "window-below-pair-level", "five-items", "tol-halves", "tol-chain"],
+)
+def test_bpjr_construct_matches_the_reference_on_tolerance_chained_costs(costs, limit, ballots, expected):
+    # a level's window spans TOL either side of it, and the levels chain
+    # weights that lie within TOL of each other
+    inst = Instance(tuple(f"c{i}" for i in range(len(costs))), costs, limit)
+    profile = Profile.of(ballots)
+    budget = bpjr_construct(inst, profile)
+    assert budget == reference_bpjr_construct(inst, profile)
+    assert sorted(budget.selected) == expected
