@@ -6,10 +6,10 @@ exhaustive: budget enumeration, ``certify``, ``verify-implications`` and
 the CLI's ``enumerate`` all read its ``(indices, mask, total)`` triples,
 and it decides exhaustiveness in one comparison per subset.  Tables of
 subsets whose order does not matter (the constructive BPJR-L rule's
-bundles, the knapsack's halves) are doubled item by item where they are
-built.  Subset totals are summed in ascending item order here, as in
-``Instance.weight`` and in those doublings, so the same items always
-give the same float.
+bundles and subset sums, the knapsack's halves) are doubled item by item
+where they are built.  Subset totals are summed in ascending item order
+here, as in ``Instance.weight`` and in those doublings, so the same
+items always give the same float.
 """
 
 from __future__ import annotations

@@ -204,6 +204,11 @@ def _cohesive_groups(masks: Sequence[int]) -> list[tuple[tuple[int, ...], int, i
     return [(voters, common, union) for (common, union, _), voters in first.items()]
 
 
+def _require_axiom(axiom: AxiomId) -> None:
+    if not isinstance(axiom, AxiomId):
+        raise InvalidChoice(f"expected an AxiomId, got a {type(axiom).__name__}; AxiomId.parse reads axiom id text")
+
+
 def _selection(inst: Instance, budget: Budget) -> tuple[int, float]:
     """Admit a caller's budget once, at the public boundary: it must be
     valid and feasible, else ``InvalidBudget``.  Returns the selection as
@@ -306,8 +311,7 @@ class _GroupTable:
         return {axiom: self.holds(selection, axiom) for axiom in ALL_AXIOMS}
 
     def _admit(self, axiom: AxiomId) -> None:
-        if not isinstance(axiom, AxiomId):
-            raise InvalidChoice(f"expected an AxiomId, got a {type(axiom).__name__}; AxiomId.parse reads axiom id text")
+        _require_axiom(axiom)
         if axiom.family not in _BJR_FAMILIES and self.n > MAX_EXACT_VOTERS:
             raise TooLargeForExact(
                 f"exact subset sweep supports at most {MAX_EXACT_VOTERS} voters, got {self.n}"
@@ -523,12 +527,14 @@ def recheck_witness(inst: Instance, profile: Profile, budget: Budget, report: Ax
     every returned witness independently checkable.  Inputs are admitted
     as :func:`check_axiom` admits them: an invalid profile raises
     ``InvalidProfile``, then an invalid or infeasible budget
-    ``InvalidBudget``.  A witness naming a voter or an item that is not a
-    non-``bool`` ``int`` in range belongs to no group of this instance,
-    and gives False.
+    ``InvalidBudget``, then a report whose ``axiom`` is not an
+    :class:`AxiomId` ``InvalidChoice``.  A witness naming a voter or an
+    item that is not a non-``bool`` ``int`` in range belongs to no group
+    of this instance, and gives False.
     """
     _require_profile(inst, profile)
     _selection(inst, budget)
+    _require_axiom(report.axiom)
     return _recheck_witness(inst, profile, budget, report)
 
 

@@ -246,24 +246,39 @@ def _cmd_check(args) -> int:
 def _cmd_enumerate(args) -> int:
     f = _load(args.file)
     inst, _ = f.to_model()
-    names = f.item_ids
-    budgets = [
-        [names[i] for i in indices]
-        for indices, _, _ in oracle._feasible_subsets(inst, exhaustive_only=args.exhaustive)
-    ]
-    if args.as_json:  # human lines would be built only to be dropped
-        record = {
+    quoted = [json.dumps(name) for name in f.item_ids] if args.as_json else f.item_ids
+    walk = oracle._feasible_subsets(inst, exhaustive_only=args.exhaustive)
+    if args.exhaustive:  # the walk yields no parents to extend
+        texts = [", ".join([quoted[i] for i in indices]) for indices, _, _ in walk]
+    else:
+        # The walk is a preorder, so a budget's parent (itself without its
+        # largest item) is the last budget it yielded one level up:
+        # chain[d] holds that text at depth d.
+        texts = []
+        chain = [""] * (inst.num_items + 1)
+        for indices, _, _ in walk:
+            d = len(indices)
+            if d:
+                chain[d] = f"{chain[d - 1]}, {quoted[indices[-1]]}" if d > 1 else quoted[indices[-1]]
+            texts.append(chain[d])
+    # The walk yields at least one budget (the empty budget is feasible, and
+    # some feasible budget is exhaustive), so every output has a first and
+    # a last budget to wrap.
+    count = len(texts)
+    if args.as_json:  # the record as json.dumps writes it, budgets spliced in
+        header = json.dumps({
             "command": "enumerate",
             "file": args.file,
             "exhaustive_only": bool(args.exhaustive),
-            "count": len(budgets),
-            "budgets": budgets,
-        }
-        print(json.dumps(record))
+            "count": count,
+        })
+        head, sep, tail = f'{header[:-1]}, "budgets": [[', "], [", "]]}"
     else:
-        lines = [f"{'exhaustive ' if args.exhaustive else ''}feasible budgets: {len(budgets)}"]
-        lines += ["  {" + ", ".join(budget) + "}" for budget in budgets]
-        print("\n".join(lines))
+        head = f"{'exhaustive ' if args.exhaustive else ''}feasible budgets: {count}\n  {{"
+        sep, tail = "}\n  {", "}"
+    body = sep.join(texts)
+    del texts  # free the budgets' texts before the output is written
+    print(head, body, tail, sep="")
     return 0
 
 

@@ -97,7 +97,7 @@ class Budget:
     @classmethod
     def of(cls, inst: Instance, items: Iterable[int]) -> "Budget":
         """Build a budget over ``inst``, validating the item indices."""
-        selected = frozenset(items)
+        selected = frozenset(_iterable(items, InvalidBudget, "a budget's items"))
         _require_items(inst, selected)
         return cls(selected, inst.weight(selected))
 
@@ -214,8 +214,19 @@ def is_exhaustive(inst: Instance, budget: Budget) -> bool:
     return True
 
 
+def _iterable(values, error: type[Exception], what: str):
+    """``values``, if it can be iterated; else ``error``, so that a public
+    argument of the wrong type, such as ``None``, raises a package error
+    rather than a raw ``TypeError``."""
+    try:
+        iter(values)
+    except TypeError:
+        raise error(f"{what} must be iterable, got {type(values).__name__}") from None
+    return values
+
+
 def _require_items(inst: Instance, items: Iterable[int]) -> None:
-    for i in items:
+    for i in _iterable(items, InvalidBudget, "a budget's items"):
         if isinstance(i, bool) or not isinstance(i, int):
             raise InvalidBudget(f"item index {i!r} is not an integer")
         if not 0 <= i < inst.num_items:
@@ -240,8 +251,8 @@ def _require_profile(inst: Instance, profile: Profile) -> list[int]:
     that the rules and checkers read after checking once per public call."""
     m = inst.num_items
     approvers = [0] * m
-    for voter, ballot in enumerate(profile.ballots):
-        for i in ballot:
+    for voter, ballot in enumerate(_iterable(profile.ballots, InvalidProfile, "the ballots")):
+        for i in _iterable(ballot, InvalidProfile, f"voter {voter}'s ballot"):
             if isinstance(i, bool) or not isinstance(i, int):
                 raise InvalidProfile(f"voter {voter} approves non-integer item index {i!r}")
             if not 0 <= i < m:

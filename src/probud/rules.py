@@ -35,15 +35,15 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ._bits import bits
-from .errors import InvalidChoice, InvalidProfile, NoApprover, TooLargeForExact
-from .model import TOL, Budget, Instance, Profile, _require_items, _require_profile
+from .errors import InvalidBudget, InvalidChoice, InvalidProfile, NoApprover, TooLargeForExact
+from .model import TOL, Budget, Instance, Profile, _iterable, _require_items, _require_profile
 
 #: Recognized tie-breaking policies for the sequential rule.
 TIE_POLICIES = ("lex", "cheapest", "most-approved")
 
 #: Hard cap on items for the constructive BPJR-L procedure.  It lists and
-#: sorts every feasible bundle, so time and memory grow with their number
-#: (at most 2**m); desk scale in practice is m <~ 20.
+#: sorts the sum of every feasible bundle, so time and memory grow with
+#: their number (at most 2**m); desk scale in practice is m <~ 20.
 MAX_CONSTRUCT_ITEMS = 25
 
 
@@ -193,7 +193,7 @@ def min_max_load(inst: Instance, profile: Profile, selected: Iterable[int]) -> L
     type's share split equally among its voters.
     """
     approvers = _require_profile(inst, profile)
-    chosen = frozenset(selected)
+    chosen = frozenset(_iterable(selected, InvalidBudget, "the selected items"))
     _require_items(inst, chosen)
     return _min_max_load(inst, approvers, profile.num_voters, chosen)
 
@@ -421,11 +421,17 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
     limit and whose supporters among still-unserved voters meet the
     level's group-size threshold; take their ``min`` by (most support,
     fewest items, smallest index tuple) and retire its supporters, until
-    no option is left.  Then fill to exhaustiveness cheapest first.  The
-    feasible bundles and their supporters are built once, by doubling the
-    table of bundles that fit item by item, so no infeasible bundle is
-    offered.  Exponential in the number of items (hard cap
-    ``MAX_CONSTRUCT_ITEMS``).
+    no option is left.  Then fill to exhaustiveness cheapest first.
+
+    The bundles and their supporters are built once, by doubling the table
+    of bundles that fit item by item, so no infeasible bundle is offered;
+    the doubling drops every bundle whose supporters are too few for any
+    level its weight can reach, and with it every bundle built from it.
+    The levels chain every feasible weight, those of dropped bundles too,
+    so they come from a doubling of the subset sums alone, and only the
+    levels near a kept bundle's weight are visited.  Exponential in the
+    number of items (hard cap ``MAX_CONSTRUCT_ITEMS``): the sums are still
+    2^m at worst.
     """
     approvers = _require_profile(inst, profile)
     if profile.num_voters == 0:
@@ -438,27 +444,47 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
     n = profile.num_voters
     limit = inst.limit + TOL
 
-    # Every feasible bundle with its supporters, doubled item by item.  A
-    # bundle's items join in ascending index order, so its weight is the
-    # float Instance.weight gives; the empty bundle stays, below every level.
+    # Every feasible weight, doubled item by item: a subset's items join in
+    # ascending index order, so its weight is the float Instance.weight
+    # gives.  The levels chain these weights, every one of them.
+    sums = [0.0]
+    for cost in inst.cost:
+        sums += [s + cost for s in sums if s + cost <= limit]
+    sums.sort()
+    levels: list[float] = []
+    for w in sums[bisect_left(sums, 1.0 - TOL):]:
+        if not levels or w - levels[-1] > TOL:
+            levels.append(w)
+
+    # The bundles that may qualify, with their supporters, doubled alike.
+    # A bundle in a level's window weighs at most level + TOL, rounded, so
+    # its weight less 2 TOL is at most the level: with fewer supporters than
+    # that weight's threshold it meets no level's threshold, nor does any
+    # bundle built from it (heavier, with fewer supporters), and the
+    # doubling drops it.  The empty bundle stays, below every level.
     # axioms._subset_pairs doubles alike but carries no supporters, so the
     # two are kept apart rather than made to branch on their caller.
     bundles = [(0.0, 0, (1 << n) - 1)]  # (weight, mask, supporters)
     for c, (cost, voters) in enumerate(zip(inst.cost, approvers)):
         bit = 1 << c
-        bundles += [(w + cost, mask | bit, sup & voters) for w, mask, sup in bundles if w + cost <= limit]
+        bundles += [
+            (w + cost, mask | bit, sup & voters)
+            for w, mask, sup in bundles
+            if w + cost <= limit
+            and (sup & voters).bit_count() >= (w + cost - 2 * TOL) * n / inst.limit - TOL
+        ]
     bundles.sort()
     weights = [w for w, _, _ in bundles]
-
-    levels: list[float] = []
+    # the levels whose window may hold a kept bundle: a window spans TOL
+    # either side of its level, so the level lies within 2 TOL of the weight
+    visit: set[int] = set()
     for w in weights:
-        if w >= 1.0 - TOL and (not levels or w - levels[-1] > TOL):
-            levels.append(w)
+        visit.update(range(bisect_left(levels, w - 2 * TOL), bisect_right(levels, w + 2 * TOL)))
 
     active = (1 << n) - 1  # voters not yet served, as a bitmask
     selected_mask = 0
     total = 0.0
-    for level in reversed(levels):
+    for level in [levels[i] for i in sorted(visit, reverse=True)]:
         window = bundles[bisect_left(weights, level - TOL):bisect_right(weights, level + TOL)]
         threshold = level * n / inst.limit - TOL
         while total + level <= limit:

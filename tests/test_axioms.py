@@ -31,6 +31,7 @@ from probud.errors import (
 )
 from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, is_feasible, normalize
 from probud.oracle import certify_existence, enumerate_feasible, replay_witnesses, verify_implications
+from probud.rules import min_max_load
 
 from oracles import (
     brute_bjr_satisfied,
@@ -501,6 +502,29 @@ def test_malformed_public_arguments_raise_package_errors(ex1, call, error):
     # each used to raise a raw AttributeError, TypeError or OverflowError,
     # or to answer: a NaN cap, a non-positive or infinite cost and a bool
     # total were read as numbers
+    _, inst, profile = ex1
+    with pytest.raises(error):
+        call(inst, profile)
+
+
+def _recheck_with_text_axiom(inst, profile):
+    budget = Budget.of(inst, [0, 2])  # {c1, c3} violates Strong-BJR-L
+    report = check_axiom(inst, profile, budget, AxiomId.parse("strong-bjr-l"))
+    return recheck_witness(inst, profile, budget, dataclasses.replace(report, axiom="strong-bjr-l"))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda inst, profile: is_feasible(inst, Budget(None, 1.0)), InvalidBudget),
+    (lambda inst, profile: Budget.of(inst, None), InvalidBudget),
+    (lambda inst, profile: check_axiom(inst, Profile(None), Budget.of(inst, [0]), ALL_AXIOMS[0]), InvalidProfile),
+    (lambda inst, profile: check_axiom(inst, Profile((None,)), Budget.of(inst, [0]), ALL_AXIOMS[0]), InvalidProfile),
+    (lambda inst, profile: min_max_load(inst, profile, None), InvalidBudget),
+    (_recheck_with_text_axiom, InvalidChoice),
+], ids=["is_feasible-none-items", "budget-of-none", "check_axiom-none-ballots", "check_axiom-none-ballot",
+        "min_max_load-none-selection", "recheck_witness-text-axiom"])
+def test_arguments_of_the_wrong_type_raise_package_errors(ex1, call, error):
+    # each used to raise a raw TypeError, or an AttributeError for the
+    # report's axiom given as text
     _, inst, profile = ex1
     with pytest.raises(error):
         call(inst, profile)

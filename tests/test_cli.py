@@ -108,14 +108,45 @@ def m14_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("exhaustive", [False, True], ids=["feasible", "exhaustive"])
-@pytest.mark.parametrize("which", ["ex1", "ex2", "m14"])
-def test_enumerate_json_matches_library_byte_for_byte(capsys, m14_file, which, exhaustive):
-    path = {"ex1": EX1, "ex2": EX2, "m14": m14_file}[which]
-    code, out = run(capsys, "enumerate", path, "--json", *(["--exhaustive"] if exhaustive else []))
-    assert code == 0
+#: Item ids the instance format admits but JSON escapes: a quote, a
+#: backslash, non-ASCII text and text that reads like an escape.
+ESCAPED_ITEMS = ('q"uote', "back\\slash", "caf\u00e9", "\u65e5\u672c", "tab\\t\\u00e9", "plain")
+
+
+@pytest.fixture(scope="module")
+def escaped_file(tmp_path_factory):
+    costs = (1, 2, 1.5, 2.5, 3, 1)
+    text = "\n".join([
+        "[meta]", "name = escapes", f"m = {len(costs)}", "n = 3", "limit = 7", "[items]",
+        *(f"{item}, item{k}, {cost}" for k, (item, cost) in enumerate(zip(ESCAPED_ITEMS, costs))),
+        "[ballots]", f"v1, {ESCAPED_ITEMS[0]}, {ESCAPED_ITEMS[2]}", f"v2, {ESCAPED_ITEMS[1]}, {ESCAPED_ITEMS[3]}",
+        "v3, plain", "",
+    ])
+    path = tmp_path_factory.mktemp("enum") / "escapes.pb"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _enumerate_case(which, m14_file, escaped_file):
+    """The path, parsed file and instance of one enumerate test case."""
+    path = {"ex1": EX1, "ex2": EX2, "ex3": str(FIXTURES / "ex3.pb"), "m14": m14_file, "escaped": escaped_file}[which]
     f = harness.parse_instance_file(Path(path).read_text(encoding="utf-8"))
     inst, _ = f.to_model()
+    return path, f, inst
+
+
+def _assert_same_text(out, want):
+    if out != want:  # pytest's own diff of two long one-line strings runs for minutes
+        at = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b), min(len(out), len(want)))
+        pytest.fail(f"output differs at character {at}: {out[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
+
+
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["feasible", "exhaustive"])
+@pytest.mark.parametrize("which", ["ex1", "ex2", "m14", "ex3", "escaped"])
+def test_enumerate_json_matches_library_byte_for_byte(capsys, m14_file, escaped_file, which, exhaustive):
+    path, f, inst = _enumerate_case(which, m14_file, escaped_file)
+    code, out = run(capsys, "enumerate", path, "--json", *(["--exhaustive"] if exhaustive else []))
+    assert code == 0
     budgets = oracle.enumerate_feasible(inst, exhaustive_only=exhaustive)
     expected = {
         "command": "enumerate",
@@ -124,10 +155,19 @@ def test_enumerate_json_matches_library_byte_for_byte(capsys, m14_file, which, e
         "count": len(budgets),
         "budgets": [[f.item_ids[i] for i in sorted(b.selected)] for b in budgets],
     }
-    want = json.dumps(expected) + "\n"
-    if out != want:  # pytest's own diff of two long one-line strings runs for minutes
-        at = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b), min(len(out), len(want)))
-        pytest.fail(f"output differs at character {at}: {out[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
+    _assert_same_text(out, json.dumps(expected) + "\n")
+
+
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["feasible", "exhaustive"])
+@pytest.mark.parametrize("which", ["ex1", "ex2", "m14", "ex3", "escaped"])
+def test_enumerate_human_matches_library_line_for_line(capsys, m14_file, escaped_file, which, exhaustive):
+    path, f, inst = _enumerate_case(which, m14_file, escaped_file)
+    code, out = run(capsys, "enumerate", path, *(["--exhaustive"] if exhaustive else []))
+    assert code == 0
+    budgets = oracle.enumerate_feasible(inst, exhaustive_only=exhaustive)
+    lines = [f"{'exhaustive ' if exhaustive else ''}feasible budgets: {len(budgets)}"]
+    lines += ["  {" + ", ".join(f.item_ids[i] for i in sorted(b.selected)) + "}" for b in budgets]
+    _assert_same_text(out, "\n".join(lines) + "\n")
 
 
 def test_enumerate_human_output(capsys):

@@ -653,14 +653,39 @@ def test_bpjr_construct_takes_only_bundles_that_fit(names, costs, limit, ballots
         # 1, 1 + TOL/2 and 2 - TOL/3: distinct weights within TOL of a level
         ((1.0, 1 + 0.5e-9, 2 - 0.3e-9), 2.0, [{0, 1}, {1, 2}, {2}], [0, 1]),
         ((1.0, 1 + 0.6e-9, 1 + 1.2e-9, 1 + 1.8e-9), 2.0, [{0, 3}, {1, 2}, {2, 3}, {3}], [3]),
+        # construct keeps only the bundles that can qualify, yet the levels
+        # chain the weights of the others too: nobody approves {2}, whose
+        # weight 1 starts the chain; a chain over the supported bundles
+        # alone starts at 1 + 0.6e-9, whose window reaches {0} and whose
+        # threshold one supporter meets
+        ((1 + 1.2e-9, 1 + 0.6e-9, 1.0), 2.0, [set(), {0, 1}], [1, 2]),
+        ((1.0, 1 + 0.9e-9, 2.0, 1 + 1.2e-9, 1 + 0.3e-9, 2 + 1.3e-9), 2.0,
+         [{0, 2, 4}, {2, 5}, {1, 2, 3, 4}, {0, 3, 4, 5}, {3, 5}, {1, 2, 5}], [0, 4]),
+        ((1.0, 2 + 0.9e-9, 2 + 0.6e-9), 2.0, [{0, 1, 2}, {0, 1}, {1}], [1]),
+        ((1.0, 2 + 0.6e-9, 2 + 1.2e-9), 3.0, [set(), {1, 2}, {2}], [2]),
     ],
-    ids=["window-below-level", "window-below-pair-level", "five-items", "tol-halves", "tol-chain"],
+    ids=["window-below-level", "window-below-pair-level", "five-items", "tol-halves", "tol-chain",
+         "unsupported-chain-start", "unsupported-six-items", "unsupported-pair-levels", "unsupported-pair"],
 )
 def test_bpjr_construct_matches_the_reference_on_tolerance_chained_costs(costs, limit, ballots, expected):
     # a level's window spans TOL either side of it, and the levels chain
-    # weights that lie within TOL of each other
+    # every feasible weight that lies within TOL of another
     inst = Instance(tuple(f"c{i}" for i in range(len(costs))), costs, limit)
     profile = Profile.of(ballots)
     budget = bpjr_construct(inst, profile)
     assert budget == reference_bpjr_construct(inst, profile)
     assert sorted(budget.selected) == expected
+
+
+def test_bpjr_construct_matches_the_reference_on_seeded_instances():
+    # Each generated instance, then again with its costs and limit snapped
+    # to halves and its costs raised by a few tenths of TOL, so that many
+    # weights lie within TOL of each other and the levels chain them.
+    for seed in range(300):
+        inst, profile = suite_instance(10_000 + seed, max_voters=12, max_items=10)
+        assert bpjr_construct(inst, profile) == reference_bpjr_construct(inst, profile), f"seed {seed}"
+        rng = random.Random(seed)
+        costs = [max(1.0, round(2 * c) / 2) + rng.randint(0, 3) * 0.4e-9 for c in inst.cost]
+        costs[inst.cost.index(1.0)] = 1.0
+        chained = Instance(inst.names, tuple(costs), max(1.0, round(2 * inst.limit) / 2))
+        assert bpjr_construct(chained, profile) == reference_bpjr_construct(chained, profile), f"seed {seed}"
