@@ -527,13 +527,15 @@ def recheck_witness(inst: Instance, profile: Profile, budget: Budget, report: Ax
     every returned witness independently checkable.  Inputs are admitted
     as :func:`check_axiom` admits them: an invalid profile raises
     ``InvalidProfile``, then an invalid or infeasible budget
-    ``InvalidBudget``, then a report whose ``axiom`` is not an
-    :class:`AxiomId` ``InvalidChoice``.  A witness naming a voter or an
-    item that is not a non-``bool`` ``int`` in range belongs to no group
-    of this instance, and gives False.
+    ``InvalidBudget``, then a report that is not an :class:`AxiomReport`
+    or whose ``axiom`` is not an :class:`AxiomId` ``InvalidChoice``.  A
+    witness naming a voter or an item that is not a non-``bool`` ``int``
+    in range belongs to no group of this instance, and gives False.
     """
     _require_profile(inst, profile)
     _selection(inst, budget)
+    if not isinstance(report, AxiomReport):
+        raise InvalidChoice(f"expected an AxiomReport, got a {type(report).__name__}")
     _require_axiom(report.axiom)
     return _recheck_witness(inst, profile, budget, report)
 

@@ -19,12 +19,14 @@ class InvalidBudget(ProbudError):
 
 class InvalidChoice(ProbudError, ValueError):
     """An argument is none of the values a function accepts: an unknown
-    tie policy, axiom family, axiom variant or axiom id text, or an axiom
-    that a checker does not handle."""
+    tie policy, axiom family, axiom variant or axiom id text, an axiom
+    that a checker does not handle, or an instance, axiom or report that
+    is not of its type."""
 
 
 class InvalidProfile(ProbudError):
-    """A ballot references unknown items, or a rule needs at least one voter."""
+    """A profile is not a :class:`~probud.model.Profile`, a ballot
+    references unknown items, or a rule needs at least one voter."""
 
 
 class NoApprover(ProbudError):

@@ -156,8 +156,16 @@ def normalize(raw_costs, raw_limit: float) -> Instance:
     scale = min(c for _, c in pairs)
     names = tuple(name for name, _ in pairs)
     cost = tuple(c / scale for _, c in pairs)
-    # Instance rejects a cost or limit that the division overflows to inf
-    return Instance(names, cost, raw_limit / scale)
+    # a tiny cheapest cost can overflow a quotient to inf: name the raw values
+    for (name, c), q in zip(pairs, cost):
+        if not math.isfinite(q):
+            raise InvalidCost(
+                f"item {name!r} has cost {c}, which divided by the cheapest cost {scale} is not finite"
+            )
+    limit = raw_limit / scale
+    if not math.isfinite(limit):
+        raise InvalidLimit(f"limit {raw_limit} divided by the cheapest cost {scale} is not finite")
+    return Instance(names, cost, limit)
 
 
 def _beyond_float(x: int | float) -> bool:
@@ -225,7 +233,13 @@ def _iterable(values, error: type[Exception], what: str):
     return values
 
 
+def _require_instance(inst: Instance) -> None:
+    if not isinstance(inst, Instance):
+        raise InvalidChoice(f"expected an Instance, got a {type(inst).__name__}")
+
+
 def _require_items(inst: Instance, items: Iterable[int]) -> None:
+    _require_instance(inst)
     for i in _iterable(items, InvalidBudget, "a budget's items"):
         if isinstance(i, bool) or not isinstance(i, int):
             raise InvalidBudget(f"item index {i!r} is not an integer")
@@ -234,6 +248,8 @@ def _require_items(inst: Instance, items: Iterable[int]) -> None:
 
 
 def _require_budget(inst: Instance, budget: Budget) -> None:
+    if not isinstance(budget, Budget):
+        raise InvalidBudget(f"expected a Budget, got a {type(budget).__name__}")
     _require_items(inst, budget.selected)
     total = budget.total_cost
     if isinstance(total, bool) or not isinstance(total, (int, float)) or _beyond_float(total):
@@ -249,6 +265,9 @@ def _require_profile(inst: Instance, profile: Profile) -> list[int]:
     """Check every ballot against ``inst``; return each item's approving
     voters as a bitmask (bit ``v`` for voter ``v``), the one approver view
     that the rules and checkers read after checking once per public call."""
+    _require_instance(inst)
+    if not isinstance(profile, Profile):
+        raise InvalidProfile(f"expected a Profile, got a {type(profile).__name__}")
     m = inst.num_items
     approvers = [0] * m
     for voter, ballot in enumerate(_iterable(profile.ballots, InvalidProfile, "the ballots")):

@@ -19,7 +19,7 @@ from typing import Iterator
 from ._bits import subsets_within
 from .axioms import _GroupTable, _recheck_witness, _selection, implied_by
 from .errors import TooLargeForExact
-from .model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile
+from .model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, _require_instance
 
 #: Hard cap on items for full budget enumeration.
 MAX_ENUM_ITEMS = 20
@@ -62,6 +62,7 @@ def _feasible_subsets(
     """The walk behind :func:`enumerate_feasible`, as ``(indices, mask,
     total)`` triples (:func:`probud._bits.subsets_within`), for callers
     that need no :class:`Budget`; enforces ``MAX_ENUM_ITEMS`` at once."""
+    _require_instance(inst)
     m = inst.num_items
     if m > MAX_ENUM_ITEMS:
         raise TooLargeForExact(

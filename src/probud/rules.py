@@ -17,10 +17,13 @@ Ballot types are voter bitmasks cut from the approver masks of
 by the item's approvers and adds its approvers outside every type
 (:func:`_split`), and no ballot is scanned.  :func:`gpseq` carries its
 selection's types from step to step and splits them once more for each
-candidate.  The flow is one iterative Dinic function over flat edge
-lists; a Dinkelbach step raises the sink capacities in place and augments
-the flow it already has, which stays feasible because the cap only
-grows.  Only the final spread of a run maps types back to voters.
+candidate.  Each network is laid in one pass that also starts its flow:
+every item sends what fits of its cost straight through its types into
+the sink.  The flow is one iterative Dinic function over flat edge lists
+that augments from there; a Dinkelbach step raises the sink capacities
+in place and augments the flow it already has, which stays feasible
+because the cap only grows.  A run's spread is read from the flow of its
+last pick's network, the only one that maps types back to voters.
 
 All rules are deterministic: ties among items are broken by an explicit
 policy (index order by default), and exhaustive fills always proceed
@@ -190,7 +193,9 @@ def min_max_load(inst: Instance, profile: Profile, selected: Iterable[int]) -> L
     side is a set S of strictly larger ratio, which becomes the next λ.
     ``max_load`` is therefore an exact ratio cost(S)/|N(S)|, and S is
     returned as ``tight``.  The spread comes from the last flow, each
-    type's share split equally among its voters.
+    type's share split equally among its voters.  It is one optimal
+    spread, not a fixed one: where several spreads reach ``max_load``,
+    which of them comes out depends on how the flow was found.
     """
     approvers = _require_profile(inst, profile)
     chosen = frozenset(_iterable(selected, InvalidBudget, "the selected items"))
@@ -210,8 +215,16 @@ def _min_max_load(
         types = _split(types, approvers[c])
     if not items:
         return LoadAssignment({}, (0.0,) * num_voters, 0.0, frozenset())
+    return _load_assignment(items, types, num_voters, _optimal_load(inst, approvers, items, types))
 
-    max_load, tight, adj, to, cap = _optimal_load(inst, approvers, items, types)
+
+def _load_assignment(
+    items: list[int], types: list[int], num_voters: int, network: tuple
+) -> LoadAssignment:
+    """The spread carried by the flow of ``network``, as
+    :func:`_optimal_load` returns it for ``items`` and ``types``: each
+    type's share of an item split equally among the type's voters."""
+    max_load, tight, adj, to, cap = network
     spread: dict[tuple[int, int], float] = {}
     voter_load = [0.0] * num_voters
     first_type = len(items) + 1
@@ -237,8 +250,17 @@ def _optimal_load(
     Returns ``(max_load, tight, adj, to, cap)``, the last three being the
     final residual network in :func:`_max_flow`'s layout.  Node 0 is the
     source, nodes ``1..k`` the items in order, then one node per type and
-    the sink last.  An item node's edges are the reverse of its source
-    edge, then its edges into the types of its approvers.
+    the sink last.  Edge ``2j`` runs from type ``j`` to the sink; then
+    come each item's source edge and its edges into the types of its
+    approvers, and an item node's edges are the reverse of its source
+    edge, then those edges into types.
+
+    The network is laid in one pass that also starts the flow: each item
+    sends as much of its cost as still fits straight through each of its
+    types into the sink, and the max-flow augments from there, rerouting
+    through the reverse edges of those direct paths where it must.  The
+    min-cut source side of a maximum flow does not depend on which
+    maximum flow it is, so neither do the Dinkelbach steps.
     """
     cost = inst.cost
     best, tight = _hall_ratio(inst, approvers, items), frozenset(items)
@@ -249,28 +271,44 @@ def _optimal_load(
 
     k = len(items)
     sink = k + len(types) + 1
-    adj: list[list[int]] = [[] for _ in range(sink + 1)]
+    size = [voters.bit_count() for voters in types]
+    to_sink = range(0, 2 * len(types), 2)
     to: list[int] = []
     cap: list[float] = []
-    for u, c in enumerate(items, 1):
-        mask = approvers[c]
-        adj[0].append(len(to))
-        adj[u].append(len(to) + 1)
-        to += (u, 0)
-        cap += (cost[c], 0.0)
-        for t, voters in enumerate(types, k + 1):
-            if voters & mask:
-                adj[u].append(len(to))
-                adj[t].append(len(to) + 1)
-                to += (t, u)
-                cap += (math.inf, 0.0)
-    size = [voters.bit_count() for voters in types]
-    to_sink = range(len(to), len(to) + 2 * len(types), 2)
-    for t, (e, s) in enumerate(zip(to_sink, size), k + 1):
-        adj[t].append(e)
-        adj[sink].append(e + 1)
+    for t, s in enumerate(size, k + 1):
         to += (sink, t)
         cap += (s * best, 0.0)
+    adj: list[list[int]] = [[] for _ in range(k + 1)]
+    adj += [[e] for e in to_sink]
+    adj.append([e + 1 for e in to_sink])
+    typed = list(zip(types, range(k + 1, sink), to_sink))
+
+    e = 2 * len(types)  # the next edge, counted as edges are laid
+    for u, c in enumerate(items, 1):
+        mask = approvers[c]
+        out = adj[u]
+        adj[0].append(e)
+        out.append(e + 1)
+        to += (u, 0)
+        cap += (0.0, 0.0)  # set once the item's direct paths are filled
+        source = e
+        e += 2
+        left = cost[c]
+        for voters, t, into_sink in typed:
+            if voters & mask:
+                room = cap[into_sink]
+                push = room if room < left else left
+                if push > 0.0:
+                    cap[into_sink] = room - push
+                    cap[into_sink + 1] += push
+                    left -= push
+                out.append(e)
+                adj[t].append(e + 1)
+                to += (t, u)
+                cap += (math.inf, push)
+                e += 2
+        cap[source] = left
+        cap[source + 1] = cost[c] - left
 
     load_cap = best
     bump = 0.0
@@ -348,10 +386,11 @@ def gpseq(
         ]
         if not candidates:
             break
-        loads = {
-            c: _optimal_load(inst, approvers, sorted(selected | {c}), _split(types, approvers[c]))[0]
+        networks = {
+            c: _optimal_load(inst, approvers, sorted(selected | {c}), _split(types, approvers[c]))
             for c in candidates
         }
+        loads = {c: network[0] for c, network in networks.items()}
         smallest = min(loads.values())
         tie_set = frozenset(c for c in candidates if loads[c] <= smallest + TOL)
         chosen = min(tie_set, key=key)
@@ -359,8 +398,13 @@ def gpseq(
         selected.add(chosen)
         types = _split(types, approvers[chosen])
         total += inst.cost[chosen]
+        picked = networks[chosen]
 
-    assignment = _min_max_load(inst, approvers, profile.num_voters, selected)
+    # the last pick's network is the whole selection's, its flow a spread
+    if steps:
+        assignment = _load_assignment(sorted(selected), types, profile.num_voters, picked)
+    else:
+        assignment = _min_max_load(inst, approvers, profile.num_voters, ())
     unapproved = [c for c in range(inst.num_items) if not approvers[c]]
     filled = _fill(inst, selected, total, unapproved) if fill_unapproved else []
 

@@ -31,7 +31,7 @@ from probud.errors import (
 )
 from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, is_feasible, normalize
 from probud.oracle import certify_existence, enumerate_feasible, replay_witnesses, verify_implications
-from probud.rules import min_max_load
+from probud.rules import bpjr_construct, gpseq, greedy_bjr_l, min_max_load
 
 from oracles import (
     brute_bjr_satisfied,
@@ -520,11 +520,26 @@ def _recheck_with_text_axiom(inst, profile):
     (lambda inst, profile: check_axiom(inst, Profile((None,)), Budget.of(inst, [0]), ALL_AXIOMS[0]), InvalidProfile),
     (lambda inst, profile: min_max_load(inst, profile, None), InvalidBudget),
     (_recheck_with_text_axiom, InvalidChoice),
+    (lambda inst, profile: check_axiom(inst, None, Budget.of(inst, [0]), ALL_AXIOMS[0]), InvalidProfile),
+    (lambda inst, profile: check_axiom(inst, profile, None, ALL_AXIOMS[0]), InvalidBudget),
+    (lambda inst, profile: is_feasible(inst, None), InvalidBudget),
+    (lambda inst, profile: gpseq(inst, None), InvalidProfile),
+    (lambda inst, profile: min_max_load(inst, None, [0]), InvalidProfile),
+    (lambda inst, profile: bpjr_construct(inst, None), InvalidProfile),
+    (lambda inst, profile: recheck_witness(inst, profile, Budget.of(inst, [0]), None), InvalidChoice),
+    (lambda inst, profile: gpseq(None, profile), InvalidChoice),
+    (lambda inst, profile: greedy_bjr_l(None, profile), InvalidChoice),
+    (lambda inst, profile: enumerate_feasible(None), InvalidChoice),
+    (lambda inst, profile: certify_existence(None, profile, ALL_AXIOMS[0]), InvalidChoice),
 ], ids=["is_feasible-none-items", "budget-of-none", "check_axiom-none-ballots", "check_axiom-none-ballot",
-        "min_max_load-none-selection", "recheck_witness-text-axiom"])
+        "min_max_load-none-selection", "recheck_witness-text-axiom", "check_axiom-none-profile",
+        "check_axiom-none-budget", "is_feasible-none-budget", "gpseq-none-profile", "min_max_load-none-profile",
+        "bpjr_construct-none-profile", "recheck_witness-none-report", "gpseq-none-instance",
+        "greedy_bjr_l-none-instance", "enumerate_feasible-none-instance", "certify_existence-none-instance"])
 def test_arguments_of_the_wrong_type_raise_package_errors(ex1, call, error):
     # each used to raise a raw TypeError, or an AttributeError for the
-    # report's axiom given as text
+    # report's axiom given as text or for a None profile, budget, report
+    # or instance
     _, inst, profile = ex1
     with pytest.raises(error):
         call(inst, profile)

@@ -324,6 +324,22 @@ def test_nan_limit_exits_two_with_one_line_error(tmp_path, capsys, rule):
     assert "limit" in captured.err
 
 
+@pytest.mark.parametrize("rule", ["gpseq", "greedy-bjr", "bpjr-construct"])
+@pytest.mark.parametrize("cost_a, limit, shown", [
+    ("1e300", "1", "error: item 'a' has cost 1e+300, which divided by the cheapest cost 1e-300 is not finite\n"),
+    ("1", "1e300", "error: limit 1e+300 divided by the cheapest cost 1e-300 is not finite\n"),
+], ids=["cost", "limit"])
+def test_overflowing_quotient_names_the_raw_costs(tmp_path, capsys, rule, cost_a, limit, shown):
+    # the error used to name the quotient: "item 'a' has non-finite cost inf"
+    path = tmp_path / "overflow.pb"
+    path.write_text(f"[meta]\nname = overflow\nm = 2\nn = 1\nlimit = {limit}\n"
+                    f"[items]\na, a, {cost_a}\nb, b, 1e-300\n[ballots]\n1, a\n")
+    code = main(["solve", "--rule", rule, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err == shown
+
+
 def test_unexpected_exception_exits_two_with_one_line_error(monkeypatch, capsys):
     def broken(args):
         raise ValueError("math domain error\nsecond line")

@@ -172,6 +172,22 @@ def test_min_max_load_finishes_and_carries_every_cost_on_wide_cost_ranges():
             assert carried == pytest.approx(inst.cost[c], rel=1e-12)
 
 
+def test_min_max_load_reroutes_a_cost_its_network_started_on_a_direct_path():
+    # The network starts each item's flow on direct paths into the sink,
+    # in type order: a fills voter 0's type, so b, approved by voter 0
+    # alone, is carried only once a's flow moves through the reverse of
+    # its edge into that type to voter 1's.
+    inst = Instance(("a", "b"), (1.0, 1.0), 2.0)
+    profile = Profile.of([{0, 1}, {0}])
+    assignment = min_max_load(inst, profile, [0, 1])
+    assert assignment.max_load == 1.0
+    assert assignment.tight == frozenset({0, 1})
+    for c in (0, 1):
+        carried = sum(share for (item, _), share in assignment.spread.items() if item == c)
+        assert carried == pytest.approx(inst.cost[c], abs=1e-12)
+    assert assignment.spread == {(0, 1): 1.0, (1, 0): 1.0}
+
+
 def _relabel_items(inst, profile, perm):
     """The instance and profile with item ``c`` renamed to ``perm[c]``:
     names, costs and ballots moved together."""
@@ -295,6 +311,36 @@ def test_gpseq_needs_no_more_flows_than_the_rebuilt_networks(monkeypatch):
     # Dinkelbach step (1521 max-flows here, 1.07 a kernel call): keeping the
     # flow while raising sink capacities in place must not need more.
     assert len(flows) <= 1521
+
+
+def test_gpseq_final_assignment_is_an_optimal_spread_of_its_selection():
+    # the spread is read from the last pick's flow, not solved again
+    rng = random.Random(127)
+    for seed in range(60):
+        inst, profile = fitting_instance(
+            rng.uniform(0.3, 0.8),
+            num_items=rng.randint(2, 12),
+            num_voters=rng.randint(1, 50),
+            cost_model=rng.choice(("unit", "uniform", "heavy-tail")),
+            cost_high=rng.uniform(1.5, 5.0),
+            ballot_model=rng.choice(("impartial", "groups")),
+            approval_prob=rng.uniform(0.1, 0.6),
+            group_overlap=rng.uniform(0.0, 0.3),
+            seed=seed,
+        )
+        for tie in ("lex", "cheapest", "most-approved"):
+            budget, trace = gpseq(inst, profile, tie=tie)
+            final = trace.final_assignment
+            solved = min_max_load(inst, profile, budget.selected)
+            assert final.max_load == pytest.approx(solved.max_load, abs=TOL), (seed, tie)
+            assert final.tight == solved.tight, (seed, tie)
+            carried = {c: 0.0 for c in budget.selected}
+            for (c, v), share in final.spread.items():
+                assert c in profile.ballots[v]
+                carried[c] += share
+            for c in budget.selected:
+                assert carried[c] == pytest.approx(inst.cost[c], abs=1e-9), (seed, tie, c)
+            assert max(final.voter_load) <= final.max_load + 1e-9, (seed, tie)
 
 
 def test_gpseq_rejects_an_unknown_tie_policy(ex2):
