@@ -22,8 +22,8 @@ every item sends what fits of its cost straight through its types into
 the sink.  The flow is one iterative Dinic function over flat edge lists
 that augments from there; a Dinkelbach step raises the sink capacities
 in place and augments the flow it already has, which stays feasible
-because the cap only grows.  A run's spread is read from the flow of its
-last pick's network, the only one that maps types back to voters.
+because the cap only grows.  A run maps types back to voters once: its
+spread is read from the flow of its last pick's network.
 
 All rules are deterministic: ties among items are broken by an explicit
 policy (index order by default), and exhaustive fills always proceed
