@@ -59,7 +59,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from ._bits import MaskWeights, bits, mask_of
-from .errors import InvalidBudget, InvalidChoice, InvalidLimit, TooLargeForExact
+from .errors import InvalidBudget, InvalidChoice, InvalidCost, InvalidLimit, TooLargeForExact
 from .model import (
     ALL_AXIOMS,
     AXIOM_VARIANTS,
@@ -122,8 +122,11 @@ def max_bundle(costs: Mapping, cap: float) -> tuple[float, frozenset]:
     the result is 0 when no single item does.  Each cost must be positive
     and finite, as for :func:`normalize` (else ``InvalidCost``); ``cap``
     may be any number in float range but NaN, ``inf`` included (else
-    ``InvalidLimit``).
+    ``InvalidLimit``).  ``costs`` that is not a mapping raises
+    ``InvalidCost``.
     """
+    if not isinstance(costs, Mapping):
+        raise InvalidCost(f"costs must be a mapping of keys to costs, got a {type(costs).__name__}")
     for key, c in costs.items():
         _check_cost(key, c)
     if isinstance(cap, bool) or not isinstance(cap, (int, float)) or _beyond_float(cap) or math.isnan(cap):
@@ -515,7 +518,10 @@ _IMPLIES: dict[AxiomId, frozenset[AxiomId]] = _transitive_closure()
 
 def implied_by(a: AxiomId, b: AxiomId) -> bool:
     """True iff satisfying ``b`` always entails satisfying ``a``
-    (transitively closed, reflexive)."""
+    (transitively closed, reflexive).  Either argument not an
+    :class:`AxiomId` raises ``InvalidChoice``."""
+    _require_axiom(a)
+    _require_axiom(b)
     return a in _IMPLIES[b]
 
 

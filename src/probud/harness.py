@@ -83,7 +83,10 @@ class InstanceFile:
 
 
 def parse_instance_file(text: str) -> InstanceFile:
-    """Parse the line-oriented instance format; errors carry line numbers."""
+    """Parse the line-oriented instance format; errors carry line numbers.
+    ``text`` that is not a ``str`` raises ``ParseError``."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected the file's text, got a {type(text).__name__}")
     section = None
     meta: dict[str, str] = {}
     meta_lines: dict[str, int] = {}
@@ -274,6 +277,8 @@ class GenSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenSpec":
+        if not isinstance(data, dict):
+            raise InvalidSpec("generator spec must be a JSON object")
         known = {f.name for f in fields(cls)}
         aliases = {"m": "num_items", "n": "num_voters"}
         kwargs = {}
@@ -290,8 +295,6 @@ class GenSpec:
             data = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
             raise InvalidSpec(f"bad generator spec: {exc}") from None
-        if not isinstance(data, dict):
-            raise InvalidSpec("generator spec must be a JSON object")
         return cls.from_dict(data)
 
 

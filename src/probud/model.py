@@ -42,7 +42,7 @@ class Instance:
     def __post_init__(self) -> None:
         if not self.names:
             raise InvalidCost("an instance needs at least one item")
-        if len(self.names) != len(self.cost):
+        if len(self.names) != len(_iterable(self.cost, InvalidCost, "the costs")):
             raise InvalidCost("names and costs differ in length")
         for name, c in zip(self.names, self.cost):
             _check_cost(name, c)
@@ -75,7 +75,10 @@ class Profile:
 
     @classmethod
     def of(cls, ballots: Iterable[Iterable[int]]) -> "Profile":
-        return cls(tuple(frozenset(b) for b in ballots))
+        ballots = _iterable(ballots, InvalidProfile, "the ballots")
+        return cls(tuple(
+            frozenset(_iterable(b, InvalidProfile, f"voter {v}'s ballot")) for v, b in enumerate(ballots)
+        ))
 
     @property
     def num_voters(self) -> int:
@@ -125,6 +128,8 @@ class AxiomId:
 
     @classmethod
     def parse(cls, text: str) -> "AxiomId":
+        if not isinstance(text, str):
+            raise InvalidChoice(f"expected axiom id text, got a {type(text).__name__}")
         family, sep, variant = text.strip().lower().rpartition("-")
         if not sep:
             raise InvalidChoice(f"cannot parse axiom id {text!r}")
@@ -142,20 +147,28 @@ def normalize(raw_costs, raw_limit: float) -> Instance:
     cheapest raw cost.
 
     ``raw_costs`` is a mapping from item name to positive raw cost, or an
-    iterable of ``(name, cost)`` pairs; item order is preserved.
+    iterable of ``(name, cost)`` pairs (tuples or lists); item order is
+    preserved.
     """
     if isinstance(raw_costs, Mapping):
         pairs = list(raw_costs.items())
     else:
-        pairs = list(raw_costs)
+        pairs = list(_iterable(raw_costs, InvalidCost, "the raw costs"))
     if not pairs:
         raise InvalidCost("an instance needs at least one item")
+    for k, pair in enumerate(pairs):
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise InvalidCost(f"raw cost {k} is not a (name, cost) pair")
     for name, c in pairs:
         _check_cost(name, c)
     _check_limit(raw_limit)
     scale = min(c for _, c in pairs)
-    names = tuple(name for name, _ in pairs)
-    cost = tuple(c / scale for _, c in pairs)
+    # from lists, not generators: CPython resizes a tuple built from a
+    # generator, and once freed it stays on the free list of its new size
+    # until a full collection, so a process parsing many instances piles
+    # them up
+    names = tuple([name for name, _ in pairs])
+    cost = tuple([c / scale for _, c in pairs])
     # a tiny cheapest cost can overflow a quotient to inf: name the raw values
     for (name, c), q in zip(pairs, cost):
         if not math.isfinite(q):

@@ -18,8 +18,8 @@ from typing import Iterator
 
 from ._bits import subsets_within
 from .axioms import _GroupTable, _recheck_witness, _selection, implied_by
-from .errors import TooLargeForExact
-from .model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, _require_instance
+from .errors import InvalidBudget, TooLargeForExact
+from .model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, _iterable, _require_instance
 
 #: Hard cap on items for full budget enumeration.
 MAX_ENUM_ITEMS = 20
@@ -109,11 +109,12 @@ def verify_implications(
     axiom holds but the implied weaker one does not; expected empty.
     Each budget's verdicts are those of
     :func:`probud.axioms.evaluate_axioms`, over one group table shared by
-    all the budgets; each budget is admitted once.
+    all the budgets; each budget is admitted once, and ``budgets`` that is
+    not iterable raises ``InvalidBudget``.
     """
     table = _GroupTable(inst, profile)
     violations: list[tuple[Budget, AxiomId, AxiomId]] = []
-    for budget in budgets:
+    for budget in _iterable(budgets, InvalidBudget, "the budgets"):
         satisfied = table.verdicts(_selection(inst, budget))
         for stronger, weaker in _IMPLICATION_PAIRS:
             if satisfied[stronger] and not satisfied[weaker]:

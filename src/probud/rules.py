@@ -6,24 +6,28 @@ inclusion allows the smallest possible maximum per-voter cost load, where
 the cost of every selected item is spread over its approvers and already
 assigned loads may be redistributed.  The spread kernel
 (:func:`min_max_load`) finds that optimum exactly by Dinkelbach iteration
-on a max-flow network over ballot types (voters whose ballots agree on
-the selected items share one node): each flow either carries every cost
-at the current load cap or yields, from its min cut, an item set whose
-cost-per-approver ratio is the next cap.  It usually needs one flow.  The
-last set found is returned as the certificate ``tight``.
+on a flow from the selected items into ballot types (voters whose ballots
+agree on the selected items form one type): each flow either carries
+every cost at the current load cap or yields, from its min cut, an item
+set whose cost-per-approver ratio is the next cap.  It usually needs one
+flow.  The last set found is returned as the certificate ``tight``.
 
 Ballot types are voter bitmasks cut from the approver masks of
 :func:`probud.model._require_profile`: adding an item splits every type
 by the item's approvers and adds its approvers outside every type
 (:func:`_split`), and no ballot is scanned.  :func:`gpseq` carries its
 selection's types from step to step and splits them once more for each
-candidate.  Each network is laid in one pass that also starts its flow:
-every item sends what fits of its cost straight through its types into
-the sink.  The flow is one iterative Dinic function over flat edge lists
-that augments from there; a Dinkelbach step raises the sink capacities
-in place and augments the flow it already has, which stays feasible
-because the cap only grows.  A run maps types back to voters once: its
-spread is read from the flow of its last pick's network.
+candidate.  The flow is held on the bipartite graph of items and types
+itself: what each item carries on each of its types, each item's
+uncarried cost and each type's room under the cap.  The graph is built in
+one pass that also starts the flow, every item putting what fits of its
+cost straight onto its types; then each round one breadth-first search
+from the items with uncarried cost, crossing back from a type to the
+items that carry flow on it, finds a path to a type with room.  A
+Dinkelbach step raises every type's room in place and augments the flow
+it already has, which stays feasible because the cap only grows.  A run
+maps types back to voters once: its spread is read from the flow of its
+last pick.
 
 All rules are deterministic: ties among items are broken by an explicit
 policy (index order by default), and exhaustive fills always proceed
@@ -85,77 +89,83 @@ class RuleTrace:
 
     ``filled`` lists unapproved items appended by the opt-in
     post-processing pass; replaying ``steps`` then ``filled`` reproduces
-    ``final_budget``.  ``final_assignment`` spreads the approved part of
-    the selection (fill items have no approvers to carry them).
+    ``final_budget``.  ``final_assignment`` is always a
+    :class:`LoadAssignment`: it spreads the approved part of the selection
+    (fill items have no approvers to carry them), and is the empty spread
+    when no step was taken.
     """
 
     steps: tuple[SequentialStep, ...]
     filled: tuple[int, ...]
     final_budget: Budget
-    final_assignment: LoadAssignment | None
+    final_assignment: LoadAssignment
 
 
-#: Residual capacity below which an edge counts as saturated.
+#: Flow, room or uncarried cost at or below which the flow counts it as none.
 _FLOW_EPS = 1e-13
 
 
-def _max_flow(adj: list[list[int]], to: list[int], cap: list[float], sink: int) -> list[int]:
-    """Augment the flow held in ``cap`` from node 0 to ``sink`` until it is
-    maximum, by Dinic's algorithm with an explicit path stack.
+def _max_flow(
+    near: list[list[int]],
+    users: list[list[int]],
+    flow: list[list[float]],
+    left: list[float],
+    room: list[float],
+) -> list[int]:
+    """Augment the flow from items into ballot types until it is maximum,
+    one shortest augmenting path a round.
 
-    ``adj[u]`` lists the edges leaving node ``u``; edge ``e`` runs to
-    ``to[e]`` with residual capacity ``cap[e]``, and ``e ^ 1`` is its
-    reverse.  Returns the levels of the last breadth-first search:
-    ``level[v] >= 0`` exactly for the nodes reachable from the source in
-    the residual graph, the source side of a minimum cut.
+    Item ``i`` sends over the types ``near[i]``, and ``users[t]`` lists the
+    items adjacent to type ``t``; ``flow[i][t]`` is what item ``i`` carries
+    on type ``t``, ``left[i]`` its uncarried cost and ``room[t]`` type
+    ``t``'s spare capacity.  Each round, a breadth-first search starts from
+    the items with uncarried cost, goes from an item to its types and from
+    a type back to the items that carry flow on it, and stops at the first
+    type with room; the path's amount then moves along the path.  Returns
+    the items the last search reached, which found no path: the source
+    side of a minimum cut.
     """
-    nodes = len(adj)
     while True:
-        level = [-1] * nodes
-        level[0] = 0
-        queue = [0]
-        for u in queue:
-            below = level[u] + 1
-            for e in adj[u]:
-                v = to[e]
-                if level[v] < 0 and cap[e] > _FLOW_EPS:
-                    level[v] = below
-                    queue.append(v)
-        if level[sink] < 0:
-            return level
-        # depth-first search along rising levels, restarted from the source
-        # after each augmentation; it[u] is the next edge of u to try in this
-        # phase, so an edge that led nowhere is not tried again
-        it = [0] * nodes
-        path: list[int] = []
-        u = 0
-        while True:
-            if u == sink:
-                pushed = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= pushed
-                    cap[e ^ 1] += pushed
-                path.clear()
-                u = 0
-                continue
-            edges = adj[u]
-            end = len(edges)
-            i = it[u]
-            below = level[u] + 1
-            while i < end:
-                e = edges[i]
-                if cap[e] > _FLOW_EPS and level[to[e]] == below:
+        reached = [i for i, rest in enumerate(left) if rest > _FLOW_EPS]
+        back = [-2] * len(near)  # the type an item was reached through, -1 at a start
+        for i in reached:
+            back[i] = -1
+        came = [-1] * len(room)  # the item a type was reached from
+        end = -1
+        for i in reached:
+            for t in near[i]:
+                if came[t] >= 0:
+                    continue
+                came[t] = i
+                if room[t] > _FLOW_EPS:
+                    end = t
                     break
-                i += 1
-            it[u] = i
-            if i < end:
-                path.append(e)
-                u = to[e]
-            elif path:
-                u = to[path.pop() ^ 1]
-                it[u] += 1
-            else:
+                for j in users[t]:
+                    if back[j] == -2 and flow[j][t] > _FLOW_EPS:
+                        back[j] = t
+                        reached.append(j)
+            if end >= 0:
                 break
+        if end < 0:
+            return reached
+        # the path, walked back from its end: type t was reached from item
+        # came[t], which was reached back along its flow on type back[came[t]]
+        # or, at back -1, is the start
+        amount = room[end]
+        t = end
+        while t >= 0:
+            i = came[t]
+            t = back[i]
+            amount = min(amount, flow[i][t] if t >= 0 else left[i])
+        room[end] -= amount
+        t = end
+        while t >= 0:
+            i = came[t]
+            flow[i][t] += amount
+            t = back[i]
+            if t >= 0:
+                flow[i][t] -= amount
+        left[i] -= amount
 
 
 def _split(types: list[int], mask: int) -> list[int]:
@@ -185,12 +195,13 @@ def min_max_load(inst: Instance, profile: Profile, selected: Iterable[int]) -> L
     The optimum is the Hall ratio: the largest cost(S) / |N(S)| over item
     sets S, where N(S) is the set of voters approving some item of S.
     Voters whose ballots agree on the selected items form one ballot
-    type; the network runs from a source through items (capacity = item
-    cost) and approval edges into types (capacity = type size times the
-    load cap λ).  Dinkelbach iteration starts λ at the larger of the
-    whole selection's and the best single item's ratio; each max-flow
-    either carries every cost, so λ is optimal, or its min-cut source
-    side is a set S of strictly larger ratio, which becomes the next λ.
+    type; each item sends its cost over its approval edges into types,
+    and a type takes at most its size times the load cap λ.  Dinkelbach
+    iteration starts λ at the larger of the whole selection's and the best
+    single item's ratio; each maximum flow either carries every cost, so λ
+    is optimal, or the items its last search still reaches, the min-cut
+    source side, are a set S of strictly larger ratio, which becomes the
+    next λ.
     ``max_load`` is therefore an exact ratio cost(S)/|N(S)|, and S is
     returned as ``tight``.  The spread comes from the last flow, each
     type's share split equally among its voters.  It is one optimal
@@ -224,14 +235,13 @@ def _load_assignment(
     """The spread carried by the flow of ``network``, as
     :func:`_optimal_load` returns it for ``items`` and ``types``: each
     type's share of an item split equally among the type's voters."""
-    max_load, tight, adj, to, cap = network
+    max_load, tight, near, flow = network
     spread: dict[tuple[int, int], float] = {}
     voter_load = [0.0] * num_voters
-    first_type = len(items) + 1
-    for u, c in enumerate(items, 1):
-        for e in adj[u][1:]:
-            voters = types[to[e] - first_type]
-            share = cap[e ^ 1] / voters.bit_count()
+    for i, c in enumerate(items):
+        for t in near[i]:
+            voters = types[t]
+            share = flow[i][t] / voters.bit_count()
             if share > 1e-15:
                 for v in bits(voters):
                     spread[(c, v)] = share
@@ -241,26 +251,22 @@ def _load_assignment(
 
 def _optimal_load(
     inst: Instance, approvers: Sequence[int], items: list[int], types: list[int]
-) -> tuple[float, frozenset[int], list[list[int]], list[int], list[float]]:
+) -> tuple[float, frozenset[int], list[list[int]], list[list[float]]]:
     """The optimal max load of ``items`` (ascending, each approved by some
     voter) and its ``tight`` set, found by Dinkelbach iteration (see
-    :func:`min_max_load`) on one network whose type nodes are ``types``,
-    the items' ballot types as voter bitmasks.
+    :func:`min_max_load`) on one flow from the items into ``types``, the
+    items' ballot types as voter bitmasks.
 
-    Returns ``(max_load, tight, adj, to, cap)``, the last three being the
-    final residual network in :func:`_max_flow`'s layout.  Node 0 is the
-    source, nodes ``1..k`` the items in order, then one node per type and
-    the sink last.  Edge ``2j`` runs from type ``j`` to the sink; then
-    come each item's source edge and its edges into the types of its
-    approvers, and an item node's edges are the reverse of its source
-    edge, then those edges into types.
+    Returns ``(max_load, tight, near, flow)``: ``near[i]`` lists, ascending,
+    the types of the approvers of ``items[i]``, and ``flow[i][t]`` is what
+    that item carries on type ``t`` in the last maximum flow.
 
-    The network is laid in one pass that also starts the flow: each item
-    sends as much of its cost as still fits straight through each of its
-    types into the sink, and the max-flow augments from there, rerouting
-    through the reverse edges of those direct paths where it must.  The
-    min-cut source side of a maximum flow does not depend on which
-    maximum flow it is, so neither do the Dinkelbach steps.
+    The graph is built in one pass that also starts the flow: each item
+    sends as much of its cost as still fits straight into each of its
+    types, and :func:`_max_flow` augments from there, rerouting those
+    shares where it must.  The min-cut source side of a maximum flow does
+    not depend on which maximum flow it is, so neither do the Dinkelbach
+    steps.
     """
     cost = inst.cost
     best, tight = _hall_ratio(inst, approvers, items), frozenset(items)
@@ -269,56 +275,36 @@ def _optimal_load(
         if single > best:
             best, tight = single, frozenset((c,))
 
-    k = len(items)
-    sink = k + len(types) + 1
     size = [voters.bit_count() for voters in types]
-    to_sink = range(0, 2 * len(types), 2)
-    to: list[int] = []
-    cap: list[float] = []
-    for t, s in enumerate(size, k + 1):
-        to += (sink, t)
-        cap += (s * best, 0.0)
-    adj: list[list[int]] = [[] for _ in range(k + 1)]
-    adj += [[e] for e in to_sink]
-    adj.append([e + 1 for e in to_sink])
-    typed = list(zip(types, range(k + 1, sink), to_sink))
-
-    e = 2 * len(types)  # the next edge, counted as edges are laid
-    for u, c in enumerate(items, 1):
+    room = [s * best for s in size]
+    near: list[list[int]] = []
+    users: list[list[int]] = [[] for _ in types]
+    flow: list[list[float]] = []
+    left: list[float] = []
+    for i, c in enumerate(items):
         mask = approvers[c]
-        out = adj[u]
-        adj[0].append(e)
-        out.append(e + 1)
-        to += (u, 0)
-        cap += (0.0, 0.0)  # set once the item's direct paths are filled
-        source = e
-        e += 2
-        left = cost[c]
-        for voters, t, into_sink in typed:
-            if voters & mask:
-                room = cap[into_sink]
-                push = room if room < left else left
-                if push > 0.0:
-                    cap[into_sink] = room - push
-                    cap[into_sink + 1] += push
-                    left -= push
-                out.append(e)
-                adj[t].append(e + 1)
-                to += (t, u)
-                cap += (math.inf, push)
-                e += 2
-        cap[source] = left
-        cap[source + 1] = cost[c] - left
+        mine = [t for t, voters in enumerate(types) if voters & mask]
+        carried = [0.0] * len(types)
+        rest = cost[c]
+        for t in mine:
+            users[t].append(i)
+            push = room[t] if room[t] < rest else rest
+            if push > 0.0:
+                room[t] -= push
+                carried[t] = push
+                rest -= push
+        near.append(mine)
+        flow.append(carried)
+        left.append(rest)
 
     load_cap = best
     bump = 0.0
     while True:
-        level = _max_flow(adj, to, cap, sink)
         # the min-cut source side holds an item exactly when the flow leaves
         # more than the flow tolerance of some item's cost uncarried
-        reached = [c for u, c in enumerate(items, 1) if level[u] >= 0]
+        reached = [items[i] for i in _max_flow(near, users, flow, left, room)]
         if not reached:
-            return best, tight, adj, to, cap
+            return best, tight, near, flow
         improved = _hall_ratio(inst, approvers, reached)
         if improved > best:
             best, tight, load_cap = improved, frozenset(reached), max(load_cap, improved)
@@ -328,10 +314,10 @@ def _optimal_load(
             # flow carries every cost; ``best`` keeps the largest ratio found.
             bump = 2.0 * bump if bump else load_cap * 2.0**-50
             load_cap += bump
-        # the cap only grows, so the flow found so far stays feasible: raise
-        # the sink edges to the new cap and augment from there
-        for e, s in zip(to_sink, size):
-            cap[e] = s * load_cap - cap[e ^ 1]
+        # the cap only grows, so the flow found so far stays feasible: give
+        # each type its room under the new cap and augment from there
+        for t, s in enumerate(size):
+            room[t] = s * load_cap - sum(flow[i][t] for i in users[t])
 
 
 def _hall_ratio(inst: Instance, approvers: Sequence[int], items: list[int]) -> float:

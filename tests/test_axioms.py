@@ -26,9 +26,12 @@ from probud.errors import (
     InvalidCost,
     InvalidLimit,
     InvalidProfile,
+    InvalidSpec,
+    ParseError,
     ProbudError,
     TooLargeForExact,
 )
+from probud.harness import GenSpec, parse_instance
 from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, is_feasible, normalize
 from probud.oracle import certify_existence, enumerate_feasible, replay_witnesses, verify_implications
 from probud.rules import bpjr_construct, gpseq, greedy_bjr_l, min_max_load
@@ -531,15 +534,30 @@ def _recheck_with_text_axiom(inst, profile):
     (lambda inst, profile: greedy_bjr_l(None, profile), InvalidChoice),
     (lambda inst, profile: enumerate_feasible(None), InvalidChoice),
     (lambda inst, profile: certify_existence(None, profile, ALL_AXIOMS[0]), InvalidChoice),
+    (lambda inst, profile: verify_implications(inst, profile, None), InvalidBudget),
+    (lambda inst, profile: normalize(None, 1), InvalidCost),
+    (lambda inst, profile: normalize([None], 1), InvalidCost),
+    (lambda inst, profile: normalize([("a", 1, 2)], 1), InvalidCost),
+    (lambda inst, profile: Profile.of(None), InvalidProfile),
+    (lambda inst, profile: Profile.of([None]), InvalidProfile),
+    (lambda inst, profile: max_bundle(None, 1), InvalidCost),
+    (lambda inst, profile: Instance(("a",), None, 1.0), InvalidCost),
+    (lambda inst, profile: AxiomId.parse(None), InvalidChoice),
+    (lambda inst, profile: implied_by(None, None), InvalidChoice),
+    (lambda inst, profile: parse_instance(None), ParseError),
+    (lambda inst, profile: GenSpec.from_dict(None), InvalidSpec),
 ], ids=["is_feasible-none-items", "budget-of-none", "check_axiom-none-ballots", "check_axiom-none-ballot",
         "min_max_load-none-selection", "recheck_witness-text-axiom", "check_axiom-none-profile",
         "check_axiom-none-budget", "is_feasible-none-budget", "gpseq-none-profile", "min_max_load-none-profile",
         "bpjr_construct-none-profile", "recheck_witness-none-report", "gpseq-none-instance",
-        "greedy_bjr_l-none-instance", "enumerate_feasible-none-instance", "certify_existence-none-instance"])
+        "greedy_bjr_l-none-instance", "enumerate_feasible-none-instance", "certify_existence-none-instance",
+        "verify_implications-none-budgets", "normalize-none", "normalize-none-pair", "normalize-three-tuple",
+        "profile-of-none", "profile-of-none-ballot", "max_bundle-none", "instance-none-costs",
+        "axiom-parse-none", "implied_by-none", "parse_instance-none", "gen_spec-from-dict-none"])
 def test_arguments_of_the_wrong_type_raise_package_errors(ex1, call, error):
-    # each used to raise a raw TypeError, or an AttributeError for the
-    # report's axiom given as text or for a None profile, budget, report
-    # or instance
+    # each used to raise a raw TypeError, ValueError, KeyError or
+    # AttributeError: for the report's axiom given as text, or for a None
+    # profile, budget, report, instance, cost table, axiom or file text
     _, inst, profile = ex1
     with pytest.raises(error):
         call(inst, profile)

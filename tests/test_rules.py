@@ -173,10 +173,10 @@ def test_min_max_load_finishes_and_carries_every_cost_on_wide_cost_ranges():
 
 
 def test_min_max_load_reroutes_a_cost_its_network_started_on_a_direct_path():
-    # The network starts each item's flow on direct paths into the sink,
+    # The flow starts by putting each item's cost straight onto its types,
     # in type order: a fills voter 0's type, so b, approved by voter 0
-    # alone, is carried only once a's flow moves through the reverse of
-    # its edge into that type to voter 1's.
+    # alone, is carried only once a's share moves back off that type and
+    # onto voter 1's.
     inst = Instance(("a", "b"), (1.0, 1.0), 2.0)
     profile = Profile.of([{0, 1}, {0}])
     assignment = min_max_load(inst, profile, [0, 1])
@@ -186,6 +186,20 @@ def test_min_max_load_reroutes_a_cost_its_network_started_on_a_direct_path():
         carried = sum(share for (item, _), share in assignment.spread.items() if item == c)
         assert carried == pytest.approx(inst.cost[c], abs=1e-12)
     assert assignment.spread == {(0, 1): 1.0, (1, 0): 1.0}
+
+
+def test_min_max_load_reroutes_along_three_back_edges():
+    # Every voter is a type of its own.  The direct shares put a on v0, b
+    # on v3 and d on v2, leaving c, approved by v0 alone, uncarried and
+    # only v1 with room: c's path takes v0 from a, a takes v3 from b, b
+    # takes v2 from d, and d moves onto v1.  Each voter carrying exactly
+    # one item is the only spread that reaches the optimum of 1.
+    inst = Instance(("a", "b", "c", "d"), (1.0,) * 4, 4.0)
+    profile = Profile.of([{0, 1, 2}, {3}, {1, 3}, {0, 1, 3}])
+    assignment = min_max_load(inst, profile, range(4))
+    assert assignment.max_load == 1.0
+    assert assignment.tight == frozenset(range(4))
+    assert assignment.spread == {(0, 3): 1.0, (1, 2): 1.0, (2, 0): 1.0, (3, 1): 1.0}
 
 
 def _relabel_items(inst, profile, perm):
