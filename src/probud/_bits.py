@@ -2,14 +2,14 @@
 
 :func:`subsets_within` serves the callers that need every feasible
 subset in lexicographic order, or need to know which ones are
-exhaustive: budget enumeration, ``certify``, ``verify-implications`` and
-the CLI's ``enumerate`` all read its ``(indices, mask, total)`` triples,
-and it decides exhaustiveness in one comparison per subset.  Tables of
-subsets whose order does not matter (the constructive BPJR-L rule's
-bundles and subset sums, the knapsack's halves) are doubled item by item
-where they are built.  Subset totals are summed in ascending item order
-here, as in ``Instance.weight`` and in those doublings, so the same
-items always give the same float.
+exhaustive: budget enumeration, ``certify``, ``verify-implications``
+and the CLI's ``enumerate`` all read its ``(mask, total, exhaustive)``
+triples, and it decides exhaustiveness in one comparison per subset.
+Tables of subsets whose order does not matter (the constructive BPJR-L
+rule's bundles and subset sums, the knapsack's halves) are doubled item
+by item where they are built.  Subset totals are summed in ascending
+item order here, as in ``Instance.weight`` and in those doublings, so
+the same items always give the same float.
 """
 
 from __future__ import annotations
@@ -34,20 +34,18 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def subsets_within(
-    costs: Sequence[float], bound: float, exhaustive_only: bool = False
-) -> Iterator[tuple[tuple[int, ...], int, float]]:
+def subsets_within(costs: Sequence[float], bound: float) -> Iterator[tuple[int, float, bool]]:
     """Every item subset costing at most ``bound`` (non-negative), as
-    ``(indices, mask, total)`` with ``indices`` the sorted index tuple, in
-    lexicographic order of those tuples; with ``exhaustive_only``, just
-    the subsets to which no further item can be added.  Its consumers are
-    enumeration, ``certify``, ``verify-implications`` and the CLI, which
-    rely on that order and on the exhaustiveness test.
+    ``(mask, total, exhaustive)``, in lexicographic order of their sorted
+    index tuples; ``exhaustive`` is set iff no further item fits.  Its
+    consumers are enumeration, ``certify``, ``verify-implications`` and
+    the CLI, which rely on that order and on the exhaustiveness test.
 
     A preorder walk from an explicit stack, extending each subset only by
-    items above its largest; no 2^m table is built.  Costs must be
-    positive: a rounded sum then never shrinks as items are added, so a
-    branch is pruned exactly when its next item passes the bound.
+    the items above its largest, from ``mask.bit_length()`` on; no 2^m
+    table is built.  Costs must be positive: a rounded sum then never
+    shrinks as items are added, so a branch is pruned exactly when its
+    next item passes the bound.
 
     Each stack entry also carries the cost of the cheapest item *skipped*
     so far: below the subset's largest item but not in it.  The items
@@ -64,20 +62,19 @@ def subsets_within(
     below = [[min(costs[s:k], default=inf) for k in range(m)] for s in range(m + 1)]
     # children are pushed last to first, so that they pop in order
     descending = [range(m - 1, s - 1, -1) for s in range(m + 1)]
-    stack = [((), 0, 0.0, 0, inf)]
+    stack = [(0, 0.0, inf)]
     pop, push = stack.pop, stack.append
     while stack:
-        indices, mask, total, start, skipped = pop()
+        mask, total, skipped = pop()
         depth = len(stack)
+        start = mask.bit_length()
         row = below[start]
         for k in descending[start]:
             extended = total + costs[k]
             if extended <= bound:
                 cheapest = row[k]
-                push((indices + (k,), mask | 1 << k, extended, k + 1,
-                      cheapest if cheapest < skipped else skipped))
-        if not exhaustive_only or (len(stack) == depth and not total + skipped <= bound):
-            yield indices, mask, total
+                push((mask | 1 << k, extended, cheapest if cheapest < skipped else skipped))
+        yield mask, total, len(stack) == depth and not total + skipped <= bound
 
 
 class MaskWeights(dict):

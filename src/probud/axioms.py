@@ -390,12 +390,13 @@ class _GroupTable:
                 rest = common & ~represented_mask
                 if not rest:
                     continue
-                cap = len(voters) * denom / n
                 represented = weights[represented_mask]
-                cheapest = min(inst.cost[i] for i in bits(rest))
-                if represented + cheapest > cap + TOL:
+                # tested as the knapsack tests it, so a group that passes
+                # always gets a nonempty extension
+                room = len(voters) * denom / n - represented
+                if min(inst.cost[i] for i in bits(rest)) > room + TOL:
                     continue
-                extension, extra = self.heaviest(rest, cap - represented)
+                extension, extra = self.heaviest(rest, room)
                 level = represented + extension
                 yield extension, voters, (level, common, represented_mask | extra, represented, level)
 

@@ -247,19 +247,17 @@ def _cmd_enumerate(args) -> int:
     f = _load(args.file)
     inst, _ = f.to_model()
     quoted = [json.dumps(name) for name in f.item_ids] if args.as_json else f.item_ids
-    walk = oracle._feasible_subsets(inst, exhaustive_only=args.exhaustive)
-    if args.exhaustive:  # the walk yields no parents to extend
-        texts = [", ".join([quoted[i] for i in indices]) for indices, _, _ in walk]
-    else:
-        # The walk is a preorder, so a budget's parent (itself without its
-        # largest item) is the last budget it yielded one level up:
-        # chain[d] holds that text at depth d.
-        texts = []
-        chain = [""] * (inst.num_items + 1)
-        for indices, _, _ in walk:
-            d = len(indices)
-            if d:
-                chain[d] = f"{chain[d - 1]}, {quoted[indices[-1]]}" if d > 1 else quoted[indices[-1]]
+    # The walk is a preorder over every feasible budget, so a budget's
+    # parent (itself without its largest item) is the last budget it
+    # yielded one level up: chain[d] holds that text at depth d.
+    texts, keep_all = [], not args.exhaustive
+    chain = [""] * (inst.num_items + 1)
+    for mask, _, exhaustive in oracle._feasible_subsets(inst):
+        d = mask.bit_count()
+        if d:
+            newest = quoted[mask.bit_length() - 1]
+            chain[d] = f"{chain[d - 1]}, {newest}" if d > 1 else newest
+        if exhaustive or keep_all:
             texts.append(chain[d])
     # The walk yields at least one budget (the empty budget is feasible, and
     # some feasible budget is exhaustive), so every output has a first and

@@ -4,11 +4,12 @@ Enumerates every feasible budget by one pruned walk over the subsets
 that fit (:func:`probud._bits.subsets_within`), certifies for which
 budgets an axiom holds (in particular whether any satisfying budget
 exists at all), and cross-checks the implication lattice between the ten
-axioms.  The walk yields ``(indices, mask, total)`` triples and decides
-exhaustiveness with one comparison per subset.  :func:`certify_existence`
-and :func:`replay_witnesses` hand its ``(mask, total)`` pairs straight to
-the checkers' group table and build a ``Budget`` only for a satisfier or
-a witness to recheck; :func:`enumerate_feasible` builds one per tuple.
+axioms.  The walk yields ``(mask, total, exhaustive)`` for every feasible
+subset; :func:`_feasible_subsets` drops the non-exhaustive ones when
+asked.  :func:`certify_existence` and :func:`replay_witnesses` hand its
+``(mask, total)`` pairs straight to the checkers' group table and build
+a ``Budget`` only for a satisfier or a witness to recheck;
+:func:`enumerate_feasible` builds one per subset.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from ._bits import subsets_within
+from ._bits import bits, subsets_within
 from .axioms import _GroupTable, _recheck_witness, _selection, implied_by
 from .errors import InvalidBudget, TooLargeForExact
 from .model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, _iterable, _require_instance
@@ -51,24 +52,25 @@ def enumerate_feasible(inst: Instance, exhaustive_only: bool = False) -> list[Bu
     lexicographic order of their sorted index tuples; memory grows with
     their number, not with 2^m."""
     return [
-        Budget(frozenset(indices), total)
-        for indices, _, total in _feasible_subsets(inst, exhaustive_only)
+        Budget(frozenset(bits(mask)), total)
+        for mask, total, _ in _feasible_subsets(inst, exhaustive_only)
     ]
 
 
-def _feasible_subsets(
-    inst: Instance, exhaustive_only: bool = False
-) -> Iterator[tuple[tuple[int, ...], int, float]]:
-    """The walk behind :func:`enumerate_feasible`, as ``(indices, mask,
-    total)`` triples (:func:`probud._bits.subsets_within`), for callers
-    that need no :class:`Budget`; enforces ``MAX_ENUM_ITEMS`` at once."""
+def _feasible_subsets(inst: Instance, exhaustive_only: bool = False) -> Iterator[tuple[int, float, bool]]:
+    """The walk behind :func:`enumerate_feasible`, as ``(mask, total,
+    exhaustive)`` triples (:func:`probud._bits.subsets_within`), for
+    callers that need no :class:`Budget`; enforces ``MAX_ENUM_ITEMS`` at
+    once.  With ``exhaustive_only`` it yields only the exhaustive ones:
+    the one filter the library's exhaustive sweeps share."""
     _require_instance(inst)
     m = inst.num_items
     if m > MAX_ENUM_ITEMS:
         raise TooLargeForExact(
             f"budget enumeration supports at most {MAX_ENUM_ITEMS} items, got {m}"
         )
-    return subsets_within(inst.cost, inst.limit + TOL, exhaustive_only)
+    walk = subsets_within(inst.cost, inst.limit + TOL)
+    return (entry for entry in walk if entry[2]) if exhaustive_only else walk
 
 
 def certify_existence(
@@ -86,9 +88,9 @@ def certify_existence(
     subsets = _feasible_subsets(inst, exhaustive_only)
     table = _GroupTable(inst, profile)
     satisfying, total_feasible = [], 0
-    for total_feasible, (indices, mask, total) in enumerate(subsets, 1):
+    for total_feasible, (mask, total, _) in enumerate(subsets, 1):
         if table.holds((mask, total), axiom):
-            satisfying.append(Budget(frozenset(indices), total))
+            satisfying.append(Budget(frozenset(bits(mask)), total))
     return ExistenceReport(
         axiom=axiom,
         exhaustive_only=exhaustive_only,
@@ -138,9 +140,9 @@ def replay_witnesses(
     a ``Budget`` is built only for a witness to recheck.
     """
     table = _GroupTable(inst, profile)
-    for indices, mask, total in _feasible_subsets(inst, exhaustive_only):
+    for mask, total, _ in _feasible_subsets(inst, exhaustive_only):
         report = table.report((mask, total), axiom)
-        if report.satisfied or not _recheck_witness(inst, profile, Budget(frozenset(indices), total), report):
+        if report.satisfied or not _recheck_witness(inst, profile, Budget(frozenset(bits(mask)), total), report):
             return False
     return True
 

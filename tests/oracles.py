@@ -210,7 +210,7 @@ def reference_bpjr_report(inst: Instance, profile: Profile, budget: Budget, axio
             rest = inter & ~represented_mask
             if represented_mask & ~inter or not rest:
                 continue
-            if represented + min(inst.cost[i] for i in _bits(rest)) > share + TOL:
+            if min(inst.cost[i] for i in _bits(rest)) > share - represented + TOL:
                 continue
             extension, extra = knap(rest, share - represented)
             level = represented + extension

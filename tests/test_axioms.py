@@ -358,6 +358,26 @@ def test_local_bpjr_w_trivial_for_zero_spend():
     assert check_local_bpjr(inst, profile, empty, "w").satisfied
 
 
+@pytest.mark.parametrize("a, b, limit", [
+    (2.0491584405483367, 2.3786293230030124, 4.427787762551349),
+    (1.4818135330961524, 3.074310553871894, 4.556124085968046),
+    (4.740549544257821, 2.0686144064533107, 6.809163949711131),
+])
+def test_local_bpjr_reports_no_violation_without_a_deficit(a, b, limit):
+    # b fits above a only within TOL of the limit.  The fit must be decided
+    # as the knapsack decides it: a group that passes the pre-check but gets
+    # no extension would be reported with a zero deficit and a witness
+    # bundle equal to its representation, which cannot recheck.
+    inst = normalize({"A": a, "B": b, "C": 1.0}, limit)
+    profile = Profile.of([{0, 1}])
+    budget = Budget.of(inst, [0])
+    report = check_local_bpjr(inst, profile, budget, "l")
+    assert report == reference_bpjr_report(inst, profile, budget, AxiomId("local-bpjr", "l"))
+    if not report.satisfied:
+        assert report.witness.witness_bundle > {0}
+        assert recheck_witness(inst, profile, budget, report)
+
+
 # ------------------------------------------------------- implication lattice
 
 

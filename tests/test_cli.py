@@ -196,6 +196,19 @@ def test_certify_nonexistence_json(capsys):
     assert record["satisfying_budgets"] == []
 
 
+def test_certify_human_output_shows_twenty_satisfiers_and_counts_the_rest(tmp_path, capsys):
+    # no voter approves anything, so all 64 budgets satisfy every axiom
+    path = tmp_path / "open.pb"
+    path.write_text("[meta]\nlimit = 6\n[items]\n" + "".join(f"{c}, {c}, 1\n" for c in "abcdef")
+                    + "[ballots]\n1\n2\n", encoding="utf-8")
+    code, out = run(capsys, "certify", "--axiom", "bjr-l", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["axiom bjr-l: exists=True over 64 feasible budgets", "satisfying budgets: 64", "  {}"]
+    assert len(lines) == 2 + 20 + 1
+    assert lines[-1] == "  ... and 44 more"
+
+
 def test_verify_implications_json(capsys):
     code, out = run(capsys, "verify-implications", EX2, "--json")
     assert code == 0
@@ -300,6 +313,16 @@ def test_solve_trace_lists_candidates(capsys):
     record = json.loads(out)
     assert record["steps"][0]["chosen"] == "b"
     assert set(record["steps"][0]["loads"]) == {"a", "b", "c"}
+
+
+def test_solve_human_output_names_the_unapproved_fill(tmp_path, capsys):
+    path = tmp_path / "fill.pb"
+    path.write_text("[meta]\nlimit = 3\n[items]\na, a, 1\nb, b, 1\nz, z, 1\n[ballots]\n1, a\n2, a, b\n",
+                    encoding="utf-8")
+    code, out = run(capsys, "solve", "--rule", "gpseq", "--fill-unapproved", str(path))
+    assert code == 0
+    assert "budget: {a, b, z}" in out
+    assert out.endswith("\nfilled (unapproved): z\n")
 
 
 def test_solve_other_rules(capsys):

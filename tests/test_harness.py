@@ -45,6 +45,14 @@ def test_parse_empty_ballots_section():
         gpseq(inst, profile)
 
 
+def test_parse_skips_empty_tokens_in_a_ballot_line():
+    head = "[meta]\nlimit = 2\n[items]\na, a, 1\nb, b, 1\n[ballots]\n"
+    spaced = parse_instance_file(head + "1, a,\n2, b, , a\n")
+    plain = parse_instance_file(head + "1, a\n2, b, a\n")
+    assert spaced == plain
+    assert plain.to_model()[1].ballots == (frozenset({0}), frozenset({0, 1}))
+
+
 def test_parse_zero_cost_surfaces_invalid_cost():
     text = "[meta]\nlimit = 2\n[items]\na, a, 0\n[ballots]\n1, a\n"
     f = parse_instance_file(text)  # parsing itself succeeds
