@@ -47,14 +47,15 @@ def subsets_within(costs: Sequence[float], bound: float) -> Iterator[tuple[int, 
     shrinks as items are added, so a branch is pruned exactly when its
     next item passes the bound.
 
-    Each stack entry also carries the cost of the cheapest item *skipped*
-    so far: below the subset's largest item but not in it.  The items
-    outside a subset are those skipped and those above its largest, and
-    one of the latter fits iff the subset pushes a child.  So a subset is
-    exhaustive iff it pushes no child and ``total + cheapest_skipped``
-    passes the bound.  One comparison stands for all the skipped items
-    because a rounded sum is monotone in the added cost: if the cheapest
-    one does not fit, none does.
+    Each stack entry also carries the lightest ascending-order total of
+    the subset plus one item *skipped* so far (below its largest, not in
+    it).  The items outside a subset are those skipped and those above its
+    largest, and one of the latter fits iff the subset pushes a child.  So
+    a subset is exhaustive, as ``model.is_exhaustive`` judges it, iff it
+    pushes no child and that lightest total passes the bound.  A child
+    taking item ``k`` adds it last to every such total, and rounded sums
+    are monotone, so its lightest is ``min(lightest, total +
+    cheapest_newly_skipped) + cost[k]``.
     """
     m = len(costs)
     # below[s][k]: the cheapest of items s..k-1, which a subset whose
@@ -65,16 +66,16 @@ def subsets_within(costs: Sequence[float], bound: float) -> Iterator[tuple[int, 
     stack = [(0, 0.0, inf)]
     pop, push = stack.pop, stack.append
     while stack:
-        mask, total, skipped = pop()
+        mask, total, lightest = pop()
         depth = len(stack)
         start = mask.bit_length()
         row = below[start]
         for k in descending[start]:
             extended = total + costs[k]
             if extended <= bound:
-                cheapest = row[k]
-                push((mask | 1 << k, extended, cheapest if cheapest < skipped else skipped))
-        yield mask, total, len(stack) == depth and not total + skipped <= bound
+                near = total + row[k]
+                push((mask | 1 << k, extended, (near if near < lightest else lightest) + costs[k]))
+        yield mask, total, len(stack) == depth and not lightest <= bound
 
 
 class MaskWeights(dict):

@@ -71,7 +71,11 @@ from .model import (
     _beyond_float,
     _check_cost,
     _require_profile,
+    falls_short,
+    fit_bound,
+    fits,
     is_feasible,
+    reaches,
 )
 
 #: Hard cap on voters for the exponential (subset-sweep) checkers.
@@ -158,7 +162,7 @@ def _subset_pairs(values: Sequence[float], positions: Sequence[int], bound: floa
 
 
 def _max_bundle_over(values: Sequence[float], positions: Sequence[int], cap: float) -> tuple[float, int]:
-    bound = cap + TOL
+    bound = fit_bound(cap)
     if bound < 0:
         return 0.0, 0
     half = len(values) // 2
@@ -288,7 +292,7 @@ class _GroupTable:
         # smaller tuple, as a sweep over every group would.
         best = None
         for violation in self._violations(selection, axiom, False):
-            if best is None or violation[0] > best[0] + TOL:
+            if best is None or not fits(violation[0], best[0]):
                 best = violation
         method = POLYNOMIAL if axiom.family in _BJR_FAMILIES else BRUTE_FORCE
         if best is None:
@@ -344,7 +348,7 @@ class _GroupTable:
                 if family == "bjr" and abs(inst.cost[c] - 1.0) > TOL:
                     continue  # plain BJR owes only unit-cost items
                 group = voters & ~represented
-                if group and group.bit_count() >= n / denom - TOL:
+                if group and reaches(group.bit_count(), n, denom, 1.0):
                     qualifying.append((tuple(bits(group)), c, group))
             for voters, item, group in sorted(qualifying):
                 # the items whose approvers include the whole group
@@ -356,7 +360,7 @@ class _GroupTable:
         # group reaching level 1 and of every Local-BPJR group; refuse up
         # front, so a verdict that stops early raises exactly as it does.
         for size in self._oversized:
-            if family == "local-bpjr" or (family == "bpjr" and size * denom / n >= 1.0 - TOL):
+            if family == "local-bpjr" or (family == "bpjr" and reaches(size, n, denom, 1.0)):
                 raise TooLargeForExact(f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items")
         groups = self.classes if verdict_only else self.groups
 
@@ -364,23 +368,21 @@ class _GroupTable:
             # the claimable levels form an interval; test its top
             for voters, common, union in groups:
                 level = min(len(voters) * denom / n, weights[common])
-                if level < 1.0 - TOL:
+                if falls_short(level, 1.0):
                     continue
                 represented = weights[union & selected]
-                if represented < level - TOL:
+                if falls_short(represented, level):
                     yield level - represented, voters, (level, common, common, represented, level)
         elif family == "bpjr":
             # the bundle maximizer is monotone in the cap; test the top level
             for voters, common, union in groups:
                 share = len(voters) * denom / n
                 level = min(share, weights[common])
-                if level < 1.0 - TOL:
+                if falls_short(level, 1.0):
                     continue
                 threshold, bundle = self.heaviest(common, min(share, denom))
-                if threshold <= TOL:
-                    continue
                 represented = weights[union & selected]
-                if represented < threshold - TOL:
+                if falls_short(represented, threshold):
                     yield threshold - represented, voters, (level, common, bundle, represented, threshold)
         else:
             for voters, common, union in groups:
@@ -394,7 +396,7 @@ class _GroupTable:
                 # tested as the knapsack tests it, so a group that passes
                 # always gets a nonempty extension
                 room = len(voters) * denom / n - represented
-                if min(inst.cost[i] for i in bits(rest)) > room + TOL:
+                if not fits(min(inst.cost[i] for i in bits(rest)), room):
                     continue
                 extension, extra = self.heaviest(rest, room)
                 level = represented + extension
@@ -571,34 +573,34 @@ def _recheck_witness(inst: Instance, profile: Profile, budget: Budget, report: A
         return False
     if witness.common_items != common:
         return False
-    if len(voters) < witness.level * n / denom - TOL:
+    if not reaches(len(voters), n, denom, witness.level):
         return False
     bundle = witness.witness_bundle
     if not bundle <= common:
         return False
 
     if axiom.family in _BJR_FAMILIES:
-        if represented > TOL or len(bundle) != 1:
+        if union & budget.selected or len(bundle) != 1:
             return False
         (item,) = bundle
         if axiom.family == "bjr" and abs(inst.cost[item] - 1.0) > TOL:
             return False
-        return len(voters) >= n / denom - TOL
+        return reaches(len(voters), n, denom, 1.0)
     if axiom.family == "strong-bpjr":
         level = witness.level
         return (
-            level >= 1.0 - TOL
-            and inst.weight(common) >= level - TOL
-            and represented < level - TOL
+            not falls_short(level, 1.0)
+            and not falls_short(inst.weight(common), level)
+            and falls_short(represented, level)
         )
     if axiom.family == "bpjr":
         cap = len(voters) * denom / n
         bundle_weight = inst.weight(bundle)
         return (
             abs(bundle_weight - witness.required_weight) <= TOL
-            and bundle_weight <= min(cap, denom) + TOL
-            and bundle_weight >= 1.0 - TOL
-            and represented < bundle_weight - TOL
+            and fits(bundle_weight, min(cap, denom))
+            and not falls_short(bundle_weight, 1.0)
+            and falls_short(represented, bundle_weight)
         )
     # local-bpjr: the bundle must be a strict superset of the realized
     # representation and a maximizer at its own weight level
@@ -608,10 +610,10 @@ def _recheck_witness(inst: Instance, profile: Profile, budget: Budget, report: A
     level = witness.level
     if abs(inst.weight(bundle) - level) > TOL:
         return False
-    if level > len(voters) * denom / n + TOL or level < 1.0 - TOL:
+    if falls_short(level, 1.0):
         return False
     backing = {i: inst.cost[i] for i in common}
-    return inst.weight(bundle) >= max_bundle_weight(backing, level) - TOL
+    return not falls_short(inst.weight(bundle), max_bundle_weight(backing, level))
 
 
 def _indices_within(indices, size: int) -> bool:

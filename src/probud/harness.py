@@ -37,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass, fields
 from .errors import DuplicateItem, InvalidSpec, ParseError
-from .model import TOL, Instance, Profile, _beyond_float, normalize
+from .model import Instance, Profile, _beyond_float, fits, normalize
 
 _SECTIONS = ("meta", "items", "ballots")
 _META_KEYS = ("name", "m", "n", "limit")
@@ -332,7 +332,7 @@ def generate_file(spec: GenSpec, name: str = "generated") -> InstanceFile:
     raw_limit = spec.limit_fraction * sum(costs)
     if not math.isfinite(raw_limit):
         raise InvalidSpec("the raw limit or the raw cost total is not a finite number")
-    if raw_limit < min(costs) - TOL:
+    if not fits(1.0, raw_limit / min(costs)):  # the cheapest item against the normalized limit
         raise InvalidSpec(
             "limit_fraction leaves a limit below one normalized unit; nothing could ever fit"
         )

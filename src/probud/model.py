@@ -3,7 +3,12 @@
 Costs are normalized so the cheapest item costs exactly one unit; every
 proportionality threshold in this package is stated in those units, which
 keeps verdicts invariant under rescaling of the currency.  All numeric
-comparisons use the single absolute tolerance ``TOL``.
+comparisons use the single absolute tolerance ``TOL``, and each tolerance
+test is stated once, here, in weight units: :func:`fits` (an amount within
+a bound, with :func:`fit_bound` the largest amount that fits),
+:func:`reaches` (a group claims a level) and :func:`falls_short` (a weight
+below another).  The rules, the checkers, ``recheck_witness``, the
+subset walk's bound and the instance generator call them.
 
 Every type here is immutable after construction and safe to share across
 threads; the module-level operations are pure functions.
@@ -215,10 +220,36 @@ def _check_limit(limit: float) -> None:
         raise InvalidLimit(f"limit must be non-negative, got {limit}")
 
 
+def fit_bound(bound: float) -> float:
+    """The largest amount that :func:`fits` under ``bound``, for a loop
+    that compares many amounts with one bound."""
+    return bound + TOL
+
+
+def fits(amount: float, bound: float) -> bool:
+    """True iff ``amount`` is at most ``bound``, within ``TOL``.  The amount
+    of an item set is its sum in ascending index order, as
+    ``Instance.weight``, ``MaskWeights`` and the subset walk give it, so one
+    set always gets one verdict."""
+    return amount <= fit_bound(bound)
+
+
+def reaches(size: int, n: int, denom: float, level: float) -> bool:
+    """True iff a group of ``size`` of ``n`` voters claims ``level``
+    against the denominator ``denom``: ``level`` is at most its share
+    ``size * denom / n``, within ``TOL``, in weight units."""
+    return fits(level, size * denom / n)
+
+
+def falls_short(have: float, need: float) -> bool:
+    """True iff the weight ``have`` is below ``need`` by more than ``TOL``."""
+    return have < need - TOL
+
+
 def is_feasible(inst: Instance, budget: Budget) -> bool:
-    """True iff the budget's total cost stays within the limit."""
+    """True iff the budget's total cost :func:`fits` under the limit."""
     _require_budget(inst, budget)
-    return budget.total_cost <= inst.limit + TOL
+    return fits(budget.total_cost, inst.limit)
 
 
 def is_exhaustive(inst: Instance, budget: Budget) -> bool:
@@ -228,9 +259,8 @@ def is_exhaustive(inst: Instance, budget: Budget) -> bool:
     """
     if not is_feasible(inst, budget):
         raise InvalidBudget("exhaustiveness is only defined for feasible budgets")
-    total = budget.total_cost
     for c in range(inst.num_items):
-        if c not in budget.selected and total + inst.cost[c] <= inst.limit + TOL:
+        if c not in budget.selected and fits(inst.weight(budget.selected | {c}), inst.limit):
             return False
     return True
 

@@ -20,7 +20,7 @@ from typing import Iterator
 from ._bits import bits, subsets_within
 from .axioms import _GroupTable, _recheck_witness, _selection, implied_by
 from .errors import InvalidBudget, TooLargeForExact
-from .model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, _iterable, _require_instance
+from .model import ALL_AXIOMS, AxiomId, Budget, Instance, Profile, _iterable, _require_instance, fit_bound
 
 #: Hard cap on items for full budget enumeration.
 MAX_ENUM_ITEMS = 20
@@ -69,7 +69,7 @@ def _feasible_subsets(inst: Instance, exhaustive_only: bool = False) -> Iterator
         raise TooLargeForExact(
             f"budget enumeration supports at most {MAX_ENUM_ITEMS} items, got {m}"
         )
-    walk = subsets_within(inst.cost, inst.limit + TOL)
+    walk = subsets_within(inst.cost, fit_bound(inst.limit))
     return (entry for entry in walk if entry[2]) if exhaustive_only else walk
 
 

@@ -41,9 +41,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ._bits import bits
+from ._bits import MaskWeights, bits
 from .errors import InvalidBudget, InvalidChoice, InvalidProfile, NoApprover, TooLargeForExact
-from .model import TOL, Budget, Instance, Profile, _iterable, _require_items, _require_profile
+from .model import (TOL, Budget, Instance, Profile, _iterable, _require_items, _require_profile,
+                    falls_short, fit_bound, fits)
 
 #: Recognized tie-breaking policies for the sequential rule.
 TIE_POLICIES = ("lex", "cheapest", "most-approved")
@@ -360,7 +361,6 @@ def gpseq(
 
     selected: set[int] = set()
     types: list[int] = []  # the selection's ballot types, as voter bitmasks
-    total = 0.0
     steps: list[SequentialStep] = []
     while True:
         candidates = [
@@ -368,7 +368,7 @@ def gpseq(
             for c in range(inst.num_items)
             if c not in selected
             and approvers[c]
-            and total + inst.cost[c] <= inst.limit + TOL
+            and fits(inst.weight(selected | {c}), inst.limit)
         ]
         if not candidates:
             break
@@ -378,12 +378,11 @@ def gpseq(
         }
         loads = {c: network[0] for c, network in networks.items()}
         smallest = min(loads.values())
-        tie_set = frozenset(c for c in candidates if loads[c] <= smallest + TOL)
+        tie_set = frozenset(c for c in candidates if fits(loads[c], smallest))
         chosen = min(tie_set, key=key)
         steps.append(SequentialStep(chosen, loads, tie_set))
         selected.add(chosen)
         types = _split(types, approvers[chosen])
-        total += inst.cost[chosen]
         picked = networks[chosen]
 
     # the last pick's network is the whole selection's, its flow a spread
@@ -392,22 +391,21 @@ def gpseq(
     else:
         assignment = _min_max_load(inst, approvers, profile.num_voters, ())
     unapproved = [c for c in range(inst.num_items) if not approvers[c]]
-    filled = _fill(inst, selected, total, unapproved) if fill_unapproved else []
+    filled = _fill(inst, selected, unapproved) if fill_unapproved else []
 
     budget = Budget.of(inst, selected)
     trace = RuleTrace(tuple(steps), tuple(filled), budget, assignment)
     return budget, trace
 
 
-def _fill(inst: Instance, selected: set[int], total: float, items: Iterable[int]) -> list[int]:
-    """Add to ``selected``, whose cost is ``total``, each of ``items`` that
-    still fits, cheapest first then by index; return those added in order."""
+def _fill(inst: Instance, selected: set[int], items: Iterable[int]) -> list[int]:
+    """Add to ``selected`` each of ``items`` that still fits, cheapest first
+    then by index; return those added in order."""
     added = []
     for c in sorted(items, key=lambda c: (inst.cost[c], c)):
-        if c not in selected and total + inst.cost[c] <= inst.limit + TOL:
+        if c not in selected and fits(inst.weight(selected | {c}), inst.limit):
             selected.add(c)
             added.append(c)
-            total += inst.cost[c]
     return added
 
 
@@ -426,20 +424,18 @@ def greedy_bjr_l(inst: Instance, profile: Profile) -> Budget:
         raise InvalidProfile("greedy_bjr_l needs at least one voter")
     unit_items = [c for c in range(inst.num_items) if abs(inst.cost[c] - 1.0) <= TOL]
     selected: set[int] = set()
-    total = 0.0
-    if inst.weight(unit_items) > inst.limit + TOL:
+    if not fits(inst.weight(unit_items), inst.limit):
         remaining = (1 << profile.num_voters) - 1
         pool = set(unit_items)
-        target = math.floor(inst.limit + TOL)
-        while total < target - TOL and pool:
+        target = math.floor(fit_bound(inst.limit))
+        while falls_short(inst.weight(selected), target) and pool:
             best = min(pool, key=lambda c: (-(approvers[c] & remaining).bit_count(), c))
-            if total + inst.cost[best] > inst.limit + TOL:
+            if not fits(inst.weight(selected | {best}), inst.limit):
                 break
             selected.add(best)
-            total += inst.cost[best]
             pool.remove(best)
             remaining &= ~approvers[best]
-    _fill(inst, selected, total, range(inst.num_items))
+    _fill(inst, selected, range(inst.num_items))
     return Budget.of(inst, selected)
 
 
@@ -472,7 +468,7 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
             f"bundle construction supports at most {MAX_CONSTRUCT_ITEMS} items, got {m}"
         )
     n = profile.num_voters
-    limit = inst.limit + TOL
+    limit = fit_bound(inst.limit)
 
     # Every feasible weight, doubled item by item: a subset's items join in
     # ascending index order, so its weight is the float Instance.weight
@@ -513,24 +509,24 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
 
     active = (1 << n) - 1  # voters not yet served, as a bitmask
     selected_mask = 0
-    total = 0.0
+    cost_of = MaskWeights(inst.cost)
     for level in [levels[i] for i in sorted(visit, reverse=True)]:
         window = bundles[bisect_left(weights, level - TOL):bisect_right(weights, level + TOL)]
         threshold = level * n / inst.limit - TOL
-        while total + level <= limit:
+        while cost_of[selected_mask] + level <= limit:
             options = []
-            for w, mask, supporters in window:
+            for _, mask, supporters in window:
                 support = (active & supporters).bit_count()
                 # a level's weights may sit a tolerance above it
-                if not mask & selected_mask and total + w <= limit and support >= threshold:
-                    options.append(((-support, mask.bit_count(), tuple(bits(mask))), w, mask, supporters))
+                if (not mask & selected_mask and fits(cost_of[selected_mask | mask], inst.limit)
+                        and support >= threshold):
+                    options.append(((-support, mask.bit_count(), tuple(bits(mask))), mask, supporters))
             if not options:
                 break
-            _, w, mask, supporters = min(options)
+            _, mask, supporters = min(options)
             selected_mask |= mask
-            total += w
             active &= ~supporters
 
     selected = set(bits(selected_mask))
-    _fill(inst, selected, total, range(inst.num_items))
+    _fill(inst, selected, range(inst.num_items))
     return Budget.of(inst, selected)

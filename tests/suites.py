@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from probud.errors import InvalidSpec
 from probud.harness import GenSpec, generate
-from probud.model import ALL_AXIOMS, TOL, Budget, Instance, Profile
+from probud.model import ALL_AXIOMS, TOL, Budget, Instance, Profile, is_feasible
 
 #: The six axioms checked by the exponential group sweep.
 BPJR_AXIOMS = tuple(a for a in ALL_AXIOMS if a.family in ("strong-bpjr", "bpjr", "local-bpjr"))
@@ -74,3 +75,35 @@ def random_feasible_budget(inst: Instance, rng: random.Random) -> Budget:
             chosen.add(c)
             total += inst.cost[c]
     return Budget.of(inst, chosen)
+
+
+#: Seeds of :func:`boundary_instance` that the boundary property tests
+#: sweep, in one to two seconds each.
+BOUNDARY_SEEDS = range(2000)
+
+
+def boundary_instance(seed: int):
+    """Deterministic instance whose limit sits on a tolerance boundary,
+    with one random feasible budget: 3-6 items, half of them of unit
+    cost, 1-6 voters, and a limit at some subset's sum, moved by -TOL, 0
+    or +TOL and then by up to three ulps either way.  Here the fit, reach
+    and shortfall tests round apart wherever two modules state one of
+    them differently."""
+    rng = random.Random(seed)
+    m = rng.randint(3, 6)
+    n = rng.randint(1, 6)
+    costs = [1.0] + [1.0 if rng.random() < 0.5 else rng.uniform(1.0, 4.0) for _ in range(m - 1)]
+    rng.shuffle(costs)
+    subset = [i for i in range(m) if rng.random() < 0.5] or [rng.randrange(m)]
+    limit = sum((costs[i] for i in subset), 0.0) + rng.choice((-TOL, 0.0, TOL))
+    limit += rng.randint(-3, 3) * math.ulp(limit)
+    inst = Instance(tuple(f"c{j}" for j in range(m)), tuple(costs), limit)
+    p = rng.uniform(0.3, 0.9)
+    profile = Profile(tuple(frozenset(c for c in range(m) if rng.random() < p) for _ in range(n)))
+    order = list(range(m))
+    rng.shuffle(order)
+    chosen: set[int] = set()
+    for c in order:
+        if rng.random() < 0.7 and is_feasible(inst, Budget.of(inst, chosen | {c})):
+            chosen.add(c)
+    return inst, profile, Budget.of(inst, chosen)

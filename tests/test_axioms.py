@@ -44,7 +44,16 @@ from oracles import (
     reference_bjr_report,
     reference_bpjr_report,
 )
-from suites import BJR_AXIOMS, BPJR_AXIOMS, fitting_instance, random_feasible_budget, suite_instance, unit_instance
+from suites import (
+    BJR_AXIOMS,
+    BOUNDARY_SEEDS,
+    BPJR_AXIOMS,
+    boundary_instance,
+    fitting_instance,
+    random_feasible_budget,
+    suite_instance,
+    unit_instance,
+)
 
 
 # ---------------------------------------------------------------- knapsack
@@ -450,6 +459,33 @@ def test_witnesses_revalidate_from_scratch():
                 )
                 checked += 1
     assert checked > 50  # the sweep actually exercised violations
+
+
+def test_witnesses_at_tolerance_boundaries_revalidate():
+    # the checkers and recheck_witness state each tolerance test through
+    # the same model predicates, so they cannot round apart on a limit
+    # that sits within TOL or a few ulps of a subset's sum
+    for seed in BOUNDARY_SEEDS:
+        inst, profile, budget = boundary_instance(seed)
+        for axiom in ALL_AXIOMS:
+            report = check_axiom(inst, profile, budget, axiom)
+            assert report.satisfied or recheck_witness(inst, profile, budget, report), (
+                f"seed {seed} axiom {axiom}"
+            )
+
+
+def test_a_local_bpjr_l_level_within_tolerance_above_the_share_revalidates():
+    # the three voters' share is the limit, c1's cost less TOL and one ulp;
+    # the level c1 lies within TOL above it, so the group claims it, and a
+    # size test in voter units (3 < 3.0000000002) used to refuse it
+    inst = Instance(("c0", "c1", "c2"), (1.0, 2.4781061557151407, 3.2373050208605387), 2.4781061547151406)
+    profile = Profile.of([{0, 1, 2}] * 3)
+    budget = Budget.of(inst, [])
+    report = check_axiom(inst, profile, budget, AxiomId("local-bpjr", "l"))
+    assert not report.satisfied
+    assert report.witness.level == 2.4781061557151407
+    assert report.witness.witness_bundle == {1}
+    assert recheck_witness(inst, profile, budget, report)
 
 
 # Instances of the tamper table, as (raw costs, raw limit, ballots).

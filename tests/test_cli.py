@@ -334,6 +334,15 @@ def test_solve_other_rules(capsys):
     assert json.loads(out)["budget"] == ["c1", "c3"]
 
 
+@pytest.mark.parametrize("rule", ["gpseq", "greedy-bjr", "bpjr-construct"])
+def test_solve_on_a_limit_boundary_exits_zero(capsys, rule):
+    # every rule tests fit on its selection's ascending-order sum, the
+    # float the feasibility check reads, so none hands it a budget to refuse
+    code, out = run(capsys, "solve", "--rule", rule, str(FIXTURES / "ex4.pb"), "--json")
+    assert code == 0
+    assert json.loads(out)["feasible"] is True
+
+
 @pytest.mark.parametrize("rule", ["greedy-bjr", "gpseq"])
 def test_nan_limit_exits_two_with_one_line_error(tmp_path, capsys, rule):
     text = (FIXTURES / "ex2.pb").read_text().replace("limit = 3", "limit = nan")

@@ -15,7 +15,7 @@ from probud.harness import (
     parse_instance_file,
     serialize_instance_file,
 )
-from probud.model import AxiomId
+from probud.model import AxiomId, Budget, is_feasible
 from probud.oracle import certify_existence
 from probud.rules import gpseq
 
@@ -292,6 +292,21 @@ def test_genspec_accepts_counts_at_its_caps():
 def test_genspec_rejects_impossible_limit():
     with pytest.raises(InvalidSpec):
         generate(GenSpec(num_items=4, num_voters=3, cost_model="unit", limit_fraction=0.01))
+
+
+@pytest.mark.parametrize("cost, limit_fraction, fits", [
+    (1000.0, (1000 - 1e-7) / 2000, True),  # normalized limit 1 - 1e-10: one item fits
+    (1e-12, 0.25, False),  # normalized limit 0.5: no item fits
+])
+def test_genspec_judges_the_limit_in_normalized_units(cost, limit_fraction, fits):
+    spec = GenSpec(num_items=2, num_voters=2, cost_model="uniform", cost_low=cost, cost_high=cost,
+                   limit_fraction=limit_fraction)
+    if fits:
+        inst, _ = generate(spec)
+        assert is_feasible(inst, Budget.of(inst, [0]))
+    else:
+        with pytest.raises(InvalidSpec):
+            generate(spec)
 
 
 def test_genspec_from_json_aliases():

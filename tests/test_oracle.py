@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from probud.errors import TooLargeForExact
 from probud.harness import GenSpec, generate
-from probud.model import TOL, AxiomId, Budget, Instance, is_exhaustive, normalize
+from probud.model import TOL, AxiomId, Budget, Instance, is_exhaustive, is_feasible, normalize
 from probud.oracle import (
     certify_existence,
     enumerate_feasible,
@@ -15,7 +15,7 @@ from probud.oracle import (
 from probud.rules import gpseq
 
 from oracles import count_feasible, powerset
-from suites import BPJR_AXIOMS, fitting_instance, suite_instance, unit_instance
+from suites import BOUNDARY_SEEDS, BPJR_AXIOMS, boundary_instance, fitting_instance, suite_instance, unit_instance
 
 
 def test_enumerate_exhaustive_on_example_one(ex1):
@@ -64,6 +64,20 @@ def test_exhaustive_enumeration_agrees_with_is_exhaustive(inst):
     assert enumerate_feasible(inst, exhaustive_only=True) == [
         budget for budget in feasible if is_exhaustive(inst, budget)
     ]
+
+
+def test_exhaustive_budgets_at_tolerance_boundaries_admit_no_further_item():
+    # the walk tests each skipped item on the ascending-order total of the
+    # budget with it, the float that Budget.of and is_feasible read, not on
+    # the budget's total plus its cost
+    for seed in BOUNDARY_SEEDS:
+        inst, _, _ = boundary_instance(seed)
+        admit_none = [
+            budget for budget in enumerate_feasible(inst)
+            if not any(is_feasible(inst, Budget.of(inst, budget.selected | {c}))
+                       for c in range(inst.num_items) if c not in budget.selected)
+        ]
+        assert enumerate_feasible(inst, exhaustive_only=True) == admit_none, f"seed {seed}"
 
 
 def test_enumerate_is_sorted_lexicographically(ex2):
@@ -164,6 +178,17 @@ def test_example_two_satisfaction_pattern_is_lattice_consistent(ex2):
     verdicts = evaluate_axioms(inst, profile, Budget.of(inst, [1, 2]))
     assert verdicts[AxiomId("local-bpjr", "l")] is True
     assert verdicts[AxiomId("bpjr", "w")] is False
+
+
+def test_implications_hold_at_tolerance_boundaries():
+    # the BJR checks state a group's reach in the weight units of the BPJR
+    # family, so no edge breaks where the two used to round apart; a
+    # budget over the limit by less than TOL is left out, as its "l" and
+    # "w" variants measure against denominators on either side of it
+    for seed in BOUNDARY_SEEDS:
+        inst, profile, budget = boundary_instance(seed)
+        if budget.total_cost <= inst.limit:
+            assert verify_implications(inst, profile, [budget]) == [], f"seed {seed}"
 
 
 def test_implications_hold_on_small_random_suite():

@@ -6,11 +6,11 @@ from probud.axioms import check_bjr_poly, check_bpjr, check_local_bpjr, evaluate
 from probud.errors import InvalidProfile, NoApprover, ProbudError, TooLargeForExact
 from probud.harness import GenSpec, generate, generate_file
 from probud.model import TOL, AxiomId, Budget, Instance, Profile, is_exhaustive, is_feasible, normalize
-from probud.oracle import enumerate_feasible
-from probud.rules import bpjr_construct, gpseq, greedy_bjr_l, min_max_load
+from probud.oracle import certify_existence, enumerate_feasible
+from probud.rules import TIE_POLICIES, bpjr_construct, gpseq, greedy_bjr_l, min_max_load
 
 from oracles import load_cut_bound, load_lp, reference_bpjr_construct
-from suites import fitting_instance, suite_instance
+from suites import BOUNDARY_SEEDS, boundary_instance, fitting_instance, suite_instance
 
 
 # ----------------------------------------------------------- load kernel
@@ -631,10 +631,25 @@ def test_rules_stay_feasible_with_within_tolerance_unit_costs():
     # accumulated surplus push a rule past the limit
     eps = 9e-10
     costs = (1.0,) + (1.0 + eps,) * 4
-    inst = Instance(tuple(f"u{j}" for j in range(5)), costs, 5.0)
-    profile = Profile.of([{i} for i in range(5)])
-    for budget in (greedy_bjr_l(inst, profile), bpjr_construct(inst, profile)):
-        assert is_feasible(inst, budget)
+    cases = [(Instance(tuple(f"u{j}" for j in range(5)), costs, 5.0), Profile.of([{i} for i in range(5)]))]
+    # nor may costs summed in pick order: {0, 1, 2} sums to 1.0e-9 and a
+    # few ulps over the limit in ascending index order, a few ulps less
+    # in the order gpseq and greedy_bjr_l picked them
+    cases.append((Instance(("a", "b", "c"), (3.735145558110402, 3.0268615869567204, 1.0), 7.7620071440671214),
+                  Profile.of([{0, 1}, {1, 2}, {0}, {0, 1}, {1}])))
+    cases += [boundary_instance(seed)[:2] for seed in BOUNDARY_SEEDS]
+    bjr_l = AxiomId("bjr", "l")
+    for inst, profile in cases:
+        greedy = greedy_bjr_l(inst, profile)
+        budgets = [greedy, bpjr_construct(inst, profile)]
+        budgets += [gpseq(inst, profile, tie, fill)[0] for tie in TIE_POLICIES for fill in (False, True)]
+        for budget in budgets:
+            assert is_feasible(inst, budget), (inst, sorted(budget.selected))
+        # a limit from (n/k)(1 - TOL) up to n/k - TOL lets a group of k of n
+        # voters claim a unit that no feasible budget has room for
+        # (boundary seed 104)
+        assert (check_bjr_poly(inst, profile, greedy, bjr_l).satisfied
+                or not certify_existence(inst, profile, bjr_l).exists), inst
 
 
 # ------------------------------------------------------ constructive rule
