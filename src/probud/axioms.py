@@ -23,6 +23,21 @@ at the first violation and reads just the largest size of each (common
 items, union) class, since every violation test is monotone in group
 size.
 
+Two exact shortcuts cut the BPJR families' work per budget.  An entry's
+level, its knapsack cap and that cap's ceiling (:func:`_bundle_ceiling`)
+depend on the denominator alone, so :meth:`_GroupTable.claims` computes
+them once per (denominator, variant, mode), as far as a sweep reads, and
+keeps the latest list of each variant and mode: one list per table for
+"l", reused while budget totals repeat for "w".  The ceiling is one
+float step above ``fit_bound(cap)``, which no pair sum ``s + r`` of
+:func:`_max_bundle_over` can pass.  Since ``falls_short`` is monotone in
+the weight it compares with, an entry whose represented weight is not
+short of the ceiling is not short of the knapsack's weight either, and
+BPJR skips its knapsack.  The ceiling rests on that ``s + r``
+arithmetic: a knapsack that weighs its bundle another way must restate
+it.  Local-BPJR memoizes each tested mask's cheapest item cost, as
+:class:`probud._bits.MaskWeights` memoizes weights.
+
 Errors, in this order: an invalid profile raises ``InvalidProfile``; a
 budget that is infeasible, names an unknown item or carries a
 ``total_cost`` other than its items' cost raises ``InvalidBudget``.
@@ -179,6 +194,21 @@ def _max_bundle_over(values: Sequence[float], positions: Sequence[int], cap: flo
     return best_weight, best_mask
 
 
+def _bundle_ceiling(cap: float) -> float:
+    """A float at least the weight :func:`_max_bundle_over` returns for a
+    cap ``cap >= 0``, whatever the items.
+
+    That weight is 0.0 or a rounded pair sum ``s + r`` with ``0 <= s <=
+    bound = fit_bound(cap)`` and ``r <= fl(bound - s)``.  The exact
+    difference ``bound - s`` lies in ``[0, bound]``, so ``fl(bound - s)``
+    passes it by at most half an ulp of ``bound``; rounding is monotone,
+    so ``s + r`` rounds to at most the next float above ``bound``.  The
+    ceiling rests on that arithmetic: a knapsack that weighs its bundle
+    another way must restate it.
+    """
+    return math.nextafter(fit_bound(cap), math.inf)
+
+
 def _cohesive_groups(masks: Sequence[int]) -> list[tuple[tuple[int, ...], int, int]]:
     """The voter subsets whose ballots share at least one item, collapsed
     to one ``(voters, common_mask, union_mask)`` entry per distinct
@@ -225,12 +255,28 @@ def _selection(inst: Instance, budget: Budget) -> tuple[int, float]:
     return mask_of(budget.selected), budget.total_cost
 
 
+class _MaskCheapest(dict):
+    """Cost of the cheapest item of nonempty item subsets encoded as
+    bitmasks, looked up as ``cheapest[mask]`` and memoized on first use,
+    as :class:`probud._bits.MaskWeights` memoizes their sums."""
+
+    def __init__(self, costs: Sequence[float]):
+        super().__init__()
+        self._costs = tuple(costs)
+
+    def __missing__(self, mask: int) -> float:
+        cheapest = self[mask] = min(self._costs[i] for i in bits(mask))
+        return cheapest
+
+
 class _GroupTable:
     """Everything the checkers need from ``(inst, profile)`` alone, built
     once per public call and shared by every selection it checks: approver
-    masks, memoized subset weights, one knapsack cache keyed by (item mask,
-    cap) and, on first use, the cohesive groups of :func:`_cohesive_groups`
-    and their largest-size classes.  It keeps no profile and reads a
+    masks, memoized subset weights and cheapest item costs, one knapsack
+    cache keyed by (item mask, cap), on first use the cohesive groups of
+    :func:`_cohesive_groups` and their largest-size classes, and the
+    :meth:`claims` of the latest denominator of each variant and mode.  It
+    keeps no profile and reads a
     selection as an admitted ``(item mask, total)`` pair (:func:`_selection`).
     """
 
@@ -239,7 +285,11 @@ class _GroupTable:
         self.inst = inst
         self.n = profile.num_voters
         self.weights = MaskWeights(inst.cost)
+        self.cheapest = _MaskCheapest(inst.cost)
         self._bundles: dict[tuple[int, float], tuple[float, int]] = {}
+        # (variant, verdict_only) -> (denominator, claims built, entries
+        # unread, {size: (share, cap, ceiling)})
+        self._claims_held: dict[tuple[str, bool], tuple[float, list[tuple], Iterator, dict]] = {}
 
     @cached_property
     def groups(self) -> list[tuple[tuple[int, ...], int, int]]:
@@ -282,6 +332,44 @@ class _GroupTable:
             hit = _max_bundle_over([self.inst.cost[i] for i in positions], positions, cap)
             self._bundles[key] = hit
         return hit
+
+    def claims(self, variant: str, denom: float, verdict_only: bool) -> Iterator[tuple]:
+        """The entries that claim level 1 at ``denom``, as ``(voters,
+        common, union, level, cap, ceiling)``: of :attr:`classes` for a
+        verdict, of :attr:`groups` for a report, in entry order.
+
+        ``level`` is the top level an entry claims in Strong-BPJR and BPJR
+        alike, ``cap`` its BPJR knapsack cap and ``ceiling`` that cap's
+        :func:`_bundle_ceiling`; the share behind the level, the cap and
+        the ceiling are worked out once per group size.  None of them
+        reads the selection, so one list serves every selection with this
+        denominator.  Each (variant, mode) slot holds the list of its
+        latest denominator only, and builds it as it is read: a verdict
+        that stops at its first violation builds no further, and the next
+        read goes on from there.  So two reads of one slot must not
+        interleave; :meth:`holds` drops its read at the first violation
+        and :meth:`report` reads to the end.
+        """
+        slot = (variant, verdict_only)
+        held = self._claims_held.get(slot)
+        if held is None or held[0] != denom:
+            entries = self.classes if verdict_only else self.groups
+            held = self._claims_held[slot] = (denom, [], iter(entries), {})
+        _, claims, unread, by_size = held
+        yield from claims
+        weights = self.weights
+        for voters, common, union in unread:
+            sized = by_size.get(len(voters))
+            if sized is None:
+                share = len(voters) * denom / self.n
+                cap = min(share, denom)
+                sized = by_size[len(voters)] = share, cap, _bundle_ceiling(cap)
+            share, cap, ceiling = sized
+            level = min(share, weights[common])
+            if not falls_short(level, 1.0):
+                claim = voters, common, union, level, cap, ceiling
+                claims.append(claim)
+                yield claim
 
     def report(self, selection: tuple[int, float], axiom: AxiomId) -> AxiomReport:
         """The checker's report, witness included, for one selection."""
@@ -362,30 +450,28 @@ class _GroupTable:
         for size in self._oversized:
             if family == "local-bpjr" or (family == "bpjr" and reaches(size, n, denom, 1.0)):
                 raise TooLargeForExact(f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items")
-        groups = self.classes if verdict_only else self.groups
 
         if family == "strong-bpjr":
             # the claimable levels form an interval; test its top
-            for voters, common, union in groups:
-                level = min(len(voters) * denom / n, weights[common])
-                if falls_short(level, 1.0):
-                    continue
+            for voters, common, union, level, _, _ in self.claims(axiom.variant, denom, verdict_only):
                 represented = weights[union & selected]
                 if falls_short(represented, level):
                     yield level - represented, voters, (level, common, common, represented, level)
         elif family == "bpjr":
             # the bundle maximizer is monotone in the cap; test the top level
-            for voters, common, union in groups:
-                share = len(voters) * denom / n
-                level = min(share, weights[common])
-                if falls_short(level, 1.0):
-                    continue
-                threshold, bundle = self.heaviest(common, min(share, denom))
+            for voters, common, union, level, cap, ceiling in self.claims(axiom.variant, denom, verdict_only):
                 represented = weights[union & selected]
+                # falls_short is monotone in its second argument and the
+                # knapsack returns at most the ceiling: an entry that covers
+                # the ceiling cannot fall short of any threshold
+                if not falls_short(represented, ceiling):
+                    continue
+                threshold, bundle = self.heaviest(common, cap)
                 if falls_short(represented, threshold):
                     yield threshold - represented, voters, (level, common, bundle, represented, threshold)
         else:
-            for voters, common, union in groups:
+            cheapest = self.cheapest
+            for voters, common, union in self.classes if verdict_only else self.groups:
                 represented_mask = union & selected
                 if represented_mask & ~common:
                     continue  # no bundle of common items can strictly contain it
@@ -396,7 +482,7 @@ class _GroupTable:
                 # tested as the knapsack tests it, so a group that passes
                 # always gets a nonempty extension
                 room = len(voters) * denom / n - represented
-                if not fits(min(inst.cost[i] for i in bits(rest)), room):
+                if not fits(cheapest[rest], room):
                     continue
                 extension, extra = self.heaviest(rest, room)
                 level = represented + extension

@@ -32,7 +32,7 @@ from probud.errors import (
     TooLargeForExact,
 )
 from probud.harness import GenSpec, parse_instance
-from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, is_feasible, normalize
+from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, fit_bound, is_feasible, normalize
 from probud.oracle import certify_existence, enumerate_feasible, replay_witnesses, verify_implications
 from probud.rules import bpjr_construct, gpseq, greedy_bjr_l, min_max_load
 
@@ -330,6 +330,65 @@ def test_bpjr_empty_budget_example_one(ex1):
     # group's cap stays below its cheapest shared bundle
     _, inst, profile = ex1
     assert check_bpjr(inst, profile, Budget.of(inst, []), "l").satisfied
+
+
+def _one_voter_bpjr_l(costs, limit, selected):
+    # one voter approving every item, so the knapsack sees all of them
+    inst = Instance(tuple(f"c{j}" for j in range(len(costs))), tuple(costs), limit)
+    return inst, Profile.of([set(range(len(costs)))]), Budget.of(inst, selected)
+
+
+def _near_limit_pair():
+    # x + y fits the limit 2.0 within TOL and outweighs z by more than TOL,
+    # though z itself lies within TOL of the cap 2.0
+    return _one_voter_bpjr_l((1.0, 1.0 + 0.5e-9, 1.9999999992), 2.0, {2})
+
+
+def _equal_bound_pair():
+    # the knapsack's pair sum 1.0 + b equals fit_bound(3.0) exactly, and the
+    # represented weight is the float just below fit_bound(3.0) - TOL
+    cap = 3.0
+    b = fit_bound(cap) - 1.0
+    represented = math.nextafter(fit_bound(cap) - TOL, 0.0)
+    assert 1.0 + b == fit_bound(cap)
+    assert math.nextafter(fit_bound(cap), 0.0) - TOL == represented
+    return _one_voter_bpjr_l((1.0, b, represented), cap, {2})
+
+
+def _past_bound_pair():
+    # a left-half sum s and a right-half sum r with fl(s + r) one float
+    # step past fit_bound(cap): the knapsack admits r as fitting under
+    # fl(bound - s), and the rounded sum lands above the bound.  The
+    # bundle's weight thus passes cap + TOL and recheck_witness rejects it,
+    # so the test asks only for agreement with the reference
+    cap, s, r = 3.312879023962449, 1.278208278670604, 2.0346707462918454
+    assert s + r == math.nextafter(fit_bound(cap), math.inf)
+    return _one_voter_bpjr_l((1.0, s, r, fit_bound(cap) - TOL), cap, {3})
+
+
+@pytest.mark.parametrize("case, required, represented", [
+    (_near_limit_pair, 2.0000000005, 1.9999999992),
+    (_equal_bound_pair, 3.000000001, 2.9999999999999996),
+    (_past_bound_pair, None, None),
+], ids=["near-limit", "pair-sum-at-fit-bound", "pair-sum-past-fit-bound"])
+def test_the_bpjr_exit_skips_no_knapsack_that_can_violate(case, required, represented):
+    # The BPJR sweep skips the knapsack of a group whose represented weight
+    # does not fall short of the cap's ceiling.  Each group's represented
+    # weight covers a lower would-be ceiling: the cap in the first two
+    # cases, the float just below fit_bound(cap) in the second and
+    # fit_bound(cap) itself in the third.  The knapsack returns more, so
+    # only a ceiling at or above its largest result finds the violation.
+    inst, profile, budget = case()
+    axiom = AxiomId("bpjr", "l")
+    report = check_axiom(inst, profile, budget, axiom)
+    assert not report.satisfied
+    assert report == reference_bpjr_report(inst, profile, budget, axiom)
+    if required is not None:
+        assert report.witness.required_weight == required
+        assert report.witness.represented_weight == represented
+        assert recheck_witness(inst, profile, budget, report)
+    assert not evaluate_axioms(inst, profile, budget)[axiom]
+    assert budget not in certify_existence(inst, profile, axiom).satisfying_budgets
 
 
 # -------------------------------------------------------------- local BPJR
@@ -688,6 +747,47 @@ def test_bpjr_family_reports_match_voter_level_reference():
             violations += not report.satisfied
     assert duplicates > 100  # budgets of profiles whose groups collapse
     assert violations > 300
+
+
+def test_bpjr_family_reports_match_the_reference_at_tolerance_boundaries():
+    # the BPJR exit and the per-denominator claims round as the reference's
+    # one-group-at-a-time sweep does where limits sit on subset sums
+    violations = 0
+    for seed in BOUNDARY_SEEDS:
+        inst, profile, budget = boundary_instance(seed)
+        for axiom in BPJR_AXIOMS:
+            report = check_axiom(inst, profile, budget, axiom)
+            assert report == reference_bpjr_report(inst, profile, budget, axiom), f"seed {seed} axiom {axiom}"
+            violations += not report.satisfied
+    assert violations > 3000
+
+
+def test_a_shared_group_table_answers_as_fresh_calls_in_any_budget_order():
+    # one table holds the claims of its latest denominator per variant and
+    # mode; fed every feasible budget in shuffled order, so that "w" totals
+    # interleave and come back, it must answer as a fresh call each time
+    from probud._bits import mask_of
+    from probud.axioms import _GroupTable
+
+    rng = random.Random(2024)
+    returns = 0
+    for seed in range(60):
+        inst, profile = suite_instance(seed)
+        table = _GroupTable(inst, profile)
+        budgets = enumerate_feasible(inst)
+        rng.shuffle(budgets)
+        seen = set()
+        for previous, budget in zip([None] + budgets, budgets):
+            total = budget.total_cost
+            returns += total in seen and total != previous.total_cost
+            seen.add(total)
+            selection = (mask_of(budget.selected), total)
+            assert table.verdicts(selection) == evaluate_axioms(inst, profile, budget), f"seed {seed}"
+            for axiom in BPJR_AXIOMS:
+                assert table.report(selection, axiom) == check_axiom(inst, profile, budget, axiom), (
+                    f"seed {seed} {axiom} on {sorted(budget.selected)}"
+                )
+    assert returns > 400, returns
 
 
 def _wide_common_instance(limit):

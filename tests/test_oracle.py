@@ -301,3 +301,40 @@ def test_certified_satisfiers_equal_a_per_budget_filter():
                 report = certify_existence(inst, profile, axiom, exhaustive_only)
                 expected = tuple(b for b in budgets if check_axiom(inst, profile, b, axiom).satisfied)
                 assert report.satisfying_budgets == expected, (axiom, exhaustive_only)
+
+
+def test_certify_bpjr_w_runs_a_knapsack_only_where_a_group_can_fall_short(monkeypatch):
+    # a BPJR group whose represented weight covers the ceiling of its
+    # knapsack cap (one float step past cap + TOL) cannot fall short of the
+    # knapsack's weight, so no knapsack is run for it
+    import math
+
+    import probud.axioms
+    from oracles import _bits, _voter_groups
+
+    calls = []
+    knapsack = probud.axioms._max_bundle_over
+    monkeypatch.setattr(probud.axioms, "_max_bundle_over", lambda *args: calls.append(1) or knapsack(*args))
+    inst, profile = generate(GenSpec(num_items=10, num_voters=14, cost_model="uniform", ballot_model="groups",
+                                     group_count=3, group_overlap=0.2, limit_fraction=0.4, seed=0))
+    certify_existence(inst, profile, AxiomId("bpjr", "w"), exhaustive_only=True)
+
+    def weigh(mask):
+        return sum(inst.cost[i] for i in _bits(mask))
+
+    largest = {}
+    for voters, common, union in _voter_groups([sum(1 << i for i in b) for b in profile.ballots]):
+        largest[common, union] = max(largest.get((common, union), 0), len(voters))
+    n = profile.num_voters
+    claimed = short = 0
+    for budget in enumerate_feasible(inst, exhaustive_only=True):
+        denom = budget.total_cost
+        selected = sum(1 << i for i in budget.selected)
+        for (common, union), size in largest.items():
+            share = size * denom / n
+            if min(share, weigh(common)) < 1.0 - TOL:
+                continue
+            claimed += 1
+            ceiling = math.nextafter(min(share, denom) + TOL, math.inf)
+            short += weigh(union & selected) < ceiling - TOL
+    assert 0 < len(calls) <= short < claimed
