@@ -1,21 +1,33 @@
 """Bitmask helpers and the ordered feasible-subset walk.
 
-:func:`subsets_within` serves the callers that need every feasible
-subset in lexicographic order, or need to know which ones are
-exhaustive: budget enumeration, ``certify``, ``verify-implications``
-and the CLI's ``enumerate`` all read its ``(mask, total, exhaustive)``
-triples, and it decides exhaustiveness in one comparison per subset.
-Tables of subsets whose order does not matter (the constructive BPJR-L
-rule's bundles and subset sums, the knapsack's halves) are doubled item
-by item where they are built.  Subset totals are summed in ascending
-item order here, as in ``Instance.weight`` and in those doublings, so
-the same items always give the same float.
+:func:`feasible_blocks` is the one walk for the callers that need every
+feasible subset in lexicographic order, or need to know which ones are
+exhaustive: budget enumeration, ``certify`` and ``verify-implications``
+read its flattened view :func:`subsets_within`, and the CLI's
+``enumerate`` reads its blocks.  The walk splits the items in two, as a
+meet-in-the-middle does: subsets of the *head* are walked one at a time,
+and each is joined with every subset of the *tail*, its *block*, by list
+operations over a table built once per call.  Tables of subsets whose
+order does not matter (the constructive BPJR-L rule's bundles and subset
+sums, the knapsack's halves) are doubled item by item where they are
+built.  Subset totals are summed in ascending item order here, as in
+``Instance.weight`` and in those doublings, so the same items always
+give the same float.
 """
 
 from __future__ import annotations
 
+from functools import cache, reduce
+from itertools import accumulate, compress, repeat
 from math import inf
+from operator import add, itemgetter, le
 from typing import Iterable, Iterator, Sequence
+
+#: The most and the fewest items the walk's tail takes, so that a block
+#: has 127 to 255 entries: a smaller block costs more in list set-up than
+#: walking its entries one at a time.
+_TAIL_CAP = 8
+_TAIL_FLOOR = 7
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -34,48 +46,214 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def subsets_within(costs: Sequence[float], bound: float) -> Iterator[tuple[int, float, bool]]:
-    """Every item subset costing at most ``bound`` (non-negative), as
-    ``(mask, total, exhaustive)``, in lexicographic order of their sorted
-    index tuples; ``exhaustive`` is set iff no further item fits.  Its
-    consumers are enumeration, ``certify``, ``verify-implications`` and
-    the CLI, which rely on that order and on the exhaustiveness test.
+@cache
+def _lex_masks(h: int) -> tuple[int, ...]:
+    """The nonempty subsets of ``range(h)`` as masks, in lexicographic
+    order of their sorted index tuples: each ``{j}`` followed by ``{j}``
+    joined with every subset of the items above ``j``."""
+    return tuple(
+        mask
+        for j in range(h)
+        for mask in (1 << j, *(1 << j | rest << j + 1 for rest in _lex_masks(h - j - 1)))
+    )
 
-    A preorder walk from an explicit stack, extending each subset only by
-    the items above its largest, from ``mask.bit_length()`` on; no 2^m
-    table is built.  Costs must be positive: a rounded sum then never
-    shrinks as items are added, so a branch is pruned exactly when its
-    next item passes the bound.
+
+@cache
+def _grows(h: int) -> tuple[tuple[int, int], ...]:
+    """For each item ``y`` of ``range(h)``, the shift that moves byte
+    ``r | 1 << y`` of a little-endian flag int to byte ``r``, and the
+    flags of the masks ``r`` without ``y``."""
+    return tuple(
+        (8 << y, int.from_bytes(bytes(not r >> y & 1 for r in range(1 << h)), "little"))
+        for y in range(h)
+    )
+
+
+def _tail_start(costs: Sequence[float], bound: float) -> int:
+    """The first item of the walk's tail: the tail is the longest suffix
+    of at most ``_TAIL_CAP`` items whose ascending-order sum is at most
+    ``bound``, so that the empty head subset's block is complete, and is
+    empty if that suffix has fewer than ``_TAIL_FLOOR`` items."""
+    m = start = len(costs)
+    while start and m - start < _TAIL_CAP:
+        total = 0.0
+        for c in costs[start - 1:]:
+            total += c
+        if total > bound:
+            break
+        start -= 1
+    return start if m - start >= _TAIL_FLOOR else m
+
+
+class _Tail:
+    """The tail template, from which each block is computed: the tail
+    items ``costs[start:]``, the nonempty tail subsets ``T`` as relative
+    masks ``r`` (bit ``j`` is item ``start + j``) in lex order, and the
+    costs of each ``T``'s items.  A block is held by relative mask, as its
+    totals and as one flag byte per entry, so that it is compared,
+    combined and read in lex order by calls that loop in C.
+
+    Each block method takes the head subset's mask, its total and the
+    lightest total of it plus one head item outside it.
+    """
+
+    def __init__(self, costs: Sequence[float], start: int, bound: float):
+        tail = [float(c) for c in costs[start:]]
+        self.costs, self.start, self.bound = tail, start, bound
+        self.cheapest = min(tail, default=inf)
+        self.lex, self.grows = _lex_masks(len(tail)), _grows(len(tail))
+        # a nonempty tail has at least two items, so this returns a tuple
+        self.in_lex = itemgetter(*self.lex) if self.lex else None
+        self.shifted = [r << start for r in self.lex]
+        self.items = [()]
+        for c in tail:
+            self.items += [items + (c,) for items in self.items]
+
+    def fold(self, total: float) -> float:
+        """``total`` plus every tail item: the heaviest entry of a block."""
+        return reduce(add, self.costs, total)
+
+    def sums(self, total: float) -> list[float]:
+        """Every ``total + T`` by relative mask, doubled item by item, so
+        each is folded in ascending item order along ``T``'s parent chain
+        (``T`` without its largest), as the walk folds a head subset."""
+        sums = [total]
+        for c in self.costs:
+            sums += [s + c for s in sums]
+        return sums
+
+    def fitting(self, mask: int, total: float, lightest: float) -> Sequence[int]:
+        """The nonempty ``T`` with ``total + T`` feasible, in lex order."""
+        if self.fold(total) <= self.bound:
+            return self.lex
+        return list(compress(self.lex, self.in_lex(self._fits(self.sums(total)))))
+
+    def exhaustive(self, mask: int, total: float, lightest: float) -> Sequence[int]:
+        """The nonempty ``T`` with ``total + T`` feasible and exhaustive,
+        in lex order.  There is none if a head item fits with the whole
+        tail, and only the whole tail if it fits itself."""
+        if self.fold(lightest) <= self.bound:
+            return ()
+        if self.fold(total) <= self.bound:
+            return (len(self.lex),)
+        return self._exhaustive(self._fits(self.sums(total)), lightest)
+
+    def flagged(self, mask: int, total: float, lightest: float) -> Iterator[tuple[int, float, bool]]:
+        """``(mask, total, exhaustive)`` for every feasible subset of the
+        block, in lex order."""
+        sums = self.sums(total)
+        fits = self._fits(sums)
+        flags = [False] * len(sums)
+        if self.fold(lightest) > self.bound:
+            for r in self._exhaustive(fits, lightest):
+                flags[r] = True
+        rows = zip(map(mask.__or__, self.shifted), self.in_lex(sums), self.in_lex(flags))
+        return compress(rows, self.in_lex(fits))
+
+    def _fits(self, sums: list[float]) -> bytes:
+        return bytes(map(le, sums, repeat(self.bound)))
+
+    def _exhaustive(self, fits: bytes, lightest: float) -> list[int]:
+        """The exhaustive ``T``, in lex order: those that fit, that fit
+        with no further tail item (no ``r | 1 << y`` fits), and that fit
+        with no head item.  The head subset plus one head item outside it
+        totals at least ``lightest``, so with ``T`` at least ``lightest +
+        T``: rounded sums are monotone in either operand."""
+        fit = int.from_bytes(fits, "little")
+        grown = 0
+        for shift, without in self.grows:
+            grown |= fit >> shift & without
+        maximal = (fit & ~grown).to_bytes(len(fits), "little")
+        bound, items = self.bound, self.items
+        return [r for r in compress(self.lex, self.in_lex(maximal)) if reduce(add, items[r], lightest) > bound]
+
+
+def feasible_blocks(costs: Sequence[float], bound: float, block: str) -> tuple[int, Iterator]:
+    """Every item subset costing at most ``bound`` (non-negative), in
+    lexicographic order of their sorted index tuples, as head subsets and
+    blocks.  Returns the first tail item and the walk.  Costs must be
+    positive: a rounded sum then never shrinks as items are added, so a
+    branch is pruned exactly when its next item passes the bound.
+
+    The *tail* is the last few items (:func:`_tail_start`), the *head*
+    the rest.  In lexicographic preorder, the subtree of a head subset
+    ``B`` is ``B`` itself, then the subtrees of its head children, then
+    ``B`` joined with every nonempty tail subset ``T`` in lex order of
+    ``T``: ``B``'s *block*.  So the walk is a preorder over the head
+    subsets from an explicit stack, extending each only by the head items
+    above its largest, from ``mask.bit_length()`` on.  When it pops ``B``
+    it yields ``(mask, total, exhaustive, None)`` and pushes a block
+    marker under ``B``'s children; when the marker pops it yields
+    ``(mask, total, None, rows)``, the block as computed by the
+    :class:`_Tail` method that ``block`` names: ``"fitting"`` and
+    ``"exhaustive"`` give the relative masks of the tail subsets kept,
+    ``"flagged"`` the ``(mask, total, exhaustive)`` rows of the feasible
+    ones.  No marker is pushed when even the cheapest tail item passes
+    the bound.  No 2^m table is built.
 
     Each stack entry also carries the lightest ascending-order total of
     the subset plus one item *skipped* so far (below its largest, not in
-    it).  The items outside a subset are those skipped and those above its
-    largest, and one of the latter fits iff the subset pushes a child.  So
-    a subset is exhaustive, as ``model.is_exhaustive`` judges it, iff it
-    pushes no child and that lightest total passes the bound.  A child
-    taking item ``k`` adds it last to every such total, and rounded sums
-    are monotone, so its lightest is ``min(lightest, total +
-    cheapest_newly_skipped) + cost[k]``.
+    it).  The items outside a head subset are those skipped and those
+    above its largest, and one of the latter fits iff the subset pushes a
+    child or a marker.  So a head subset is exhaustive, as
+    ``model.is_exhaustive`` judges it, iff it pushes nothing and that
+    lightest total passes the bound.  A child taking item ``k`` adds it
+    last to every such total, and rounded sums are monotone in either
+    operand, so its lightest is ``min(lightest, total +
+    cheapest_newly_skipped) + cost[k]``.  A marker carries ``min(lightest,
+    total + cheapest_head_item_from_start)`` instead: the lightest total
+    of ``B`` plus any head item outside it.  An entry ``B ∪ T`` of the
+    block is exhaustive iff it fits, ``B ∪ T`` plus any further tail item
+    (an entry of the same block) does not, and that lightest total plus
+    ``T``'s items passes the bound (:meth:`_Tail._exhaustive`).
     """
-    m = len(costs)
-    # below[s][k]: the cheapest of items s..k-1, which a subset whose
-    # children start at s skips when it takes k
-    below = [[min(costs[s:k], default=inf) for k in range(m)] for s in range(m + 1)]
+    start = _tail_start(costs, bound)
+    tail = _Tail(costs, start, bound)
+    return start, _walk(costs, bound, start, tail, getattr(tail, block))
+
+
+def _walk(costs, bound, start, tail, block):
+    # below[s][k]: the cheapest of the head items s..k-1, which a subset
+    # whose children start at s skips when it takes k; below[s][start] is
+    # the cheapest head item that its block's entries leave out
+    below = [[inf] * s + list(accumulate(costs[s:start], min, initial=inf)) for s in range(start + 1)]
     # children are pushed last to first, so that they pop in order
-    descending = [range(m - 1, s - 1, -1) for s in range(m + 1)]
-    stack = [(0, 0.0, inf)]
+    descending = [range(start - 1, s - 1, -1) for s in range(start + 1)]
+    cheapest_tail = tail.cheapest
+    stack = [(0, 0.0, inf, False)]
     pop, push = stack.pop, stack.append
     while stack:
-        mask, total, lightest = pop()
+        mask, total, lightest, marker = pop()
+        if marker:
+            yield mask, total, None, block(mask, total, lightest)
+            continue
         depth = len(stack)
-        start = mask.bit_length()
-        row = below[start]
-        for k in descending[start]:
+        first = mask.bit_length()
+        row = below[first]
+        if total + cheapest_tail <= bound:
+            near = total + row[start]
+            push((mask, total, near if near < lightest else lightest, True))
+        for k in descending[first]:
             extended = total + costs[k]
             if extended <= bound:
                 near = total + row[k]
-                push((mask | 1 << k, extended, (near if near < lightest else lightest) + costs[k]))
-        yield mask, total, len(stack) == depth and not lightest <= bound
+                push((mask | 1 << k, extended, (near if near < lightest else lightest) + costs[k], False))
+        yield mask, total, len(stack) == depth and not lightest <= bound, None
+
+
+def subsets_within(costs: Sequence[float], bound: float) -> Iterator[tuple[int, float, bool]]:
+    """The walk of :func:`feasible_blocks`, flattened: every feasible
+    subset as ``(mask, total, exhaustive)``, in lexicographic order of
+    their sorted index tuples; ``exhaustive`` is set iff no further item
+    fits.  Its consumers are enumeration, ``certify`` and
+    ``verify-implications``, which rely on that order and on the
+    exhaustiveness test."""
+    _, walk = feasible_blocks(costs, bound, "flagged")
+    for mask, total, exhaustive, block in walk:
+        if block is None:
+            yield mask, total, exhaustive
+        else:
+            yield from block
 
 
 class MaskWeights(dict):

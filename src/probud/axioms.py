@@ -401,9 +401,11 @@ class _GroupTable:
         self._admit(axiom)
         return next(self._violations(selection, axiom, True), None) is None
 
-    def verdicts(self, selection: tuple[int, float]) -> dict[AxiomId, bool]:
-        """:meth:`holds` for all ten axioms, in ``ALL_AXIOMS`` order."""
-        return {axiom: self.holds(selection, axiom) for axiom in ALL_AXIOMS}
+    def verdicts(self, selection: tuple[int, float]) -> tuple[bool, ...]:
+        """:meth:`holds` for all ten axioms, as a tuple in ``ALL_AXIOMS``
+        order, so that a caller reads them by position rather than by
+        hashing an ``AxiomId``."""
+        return tuple(self.holds(selection, axiom) for axiom in ALL_AXIOMS)
 
     def _admit(self, axiom: AxiomId) -> None:
         _require_axiom(axiom)
@@ -566,7 +568,7 @@ def evaluate_axioms(inst: Instance, profile: Profile, budget: Budget) -> dict[Ax
     :func:`probud.oracle.verify_implications` shares one table across all
     its budgets instead.
     """
-    return _GroupTable(inst, profile).verdicts(_selection(inst, budget))
+    return dict(zip(ALL_AXIOMS, _GroupTable(inst, profile).verdicts(_selection(inst, budget))))
 
 
 def _implication_edges() -> tuple[tuple[AxiomId, AxiomId], ...]:

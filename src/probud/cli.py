@@ -246,34 +246,48 @@ def _cmd_check(args) -> int:
 def _cmd_enumerate(args) -> int:
     f = _load(args.file)
     inst, _ = f.to_model()
-    quoted = [json.dumps(name) for name in f.item_ids] if args.as_json else f.item_ids
-    # The walk is a preorder over every feasible budget, so a budget's
-    # parent (itself without its largest item) is the last budget it
-    # yielded one level up: chain[d] holds that text at depth d.
-    texts, keep_all = [], not args.exhaustive
+    if args.as_json:  # the record as json.dumps writes it, budgets spliced in
+        quoted, sep, tail = [json.dumps(name) for name in f.item_ids], "], [", "]]}"
+    else:
+        quoted, sep, tail = f.item_ids, "}\n  {", "}"
+    start, walk = oracle._feasible_blocks(inst, args.exhaustive)
+    # The walk is a preorder over the head subsets, so a head subset's
+    # parent (itself without its largest item) is the last one it yielded
+    # one level up: chain[d] holds that text at depth d, and still holds a
+    # head subset's own text when its block comes.  suffix[r] is the text
+    # of the tail subset with relative mask r, built by doubling, and a
+    # block's budgets are written as one text, joined around its prefix.
+    texts, count, keep_all = [], 0, not args.exhaustive
     chain = [""] * (inst.num_items + 1)
-    for mask, _, exhaustive in oracle._feasible_subsets(inst):
+    suffix = [""]
+    for name in quoted[start:]:
+        suffix += [f"{text}, {name}" if text else name for text in suffix]
+    for mask, _, exhaustive, kept in walk:
         d = mask.bit_count()
-        if d:
-            newest = quoted[mask.bit_length() - 1]
-            chain[d] = f"{chain[d - 1]}, {newest}" if d > 1 else newest
-        if exhaustive or keep_all:
-            texts.append(chain[d])
+        if kept is None:
+            if d:
+                newest = quoted[mask.bit_length() - 1]
+                chain[d] = f"{chain[d - 1]}, {newest}" if d > 1 else newest
+            if exhaustive or keep_all:
+                texts.append(chain[d])
+                count += 1
+        elif kept:
+            prefix = f"{chain[d]}, " if d else ""
+            texts.append(prefix + (sep + prefix).join(map(suffix.__getitem__, kept)))
+            count += len(kept)
     # The walk yields at least one budget (the empty budget is feasible, and
     # some feasible budget is exhaustive), so every output has a first and
     # a last budget to wrap.
-    count = len(texts)
-    if args.as_json:  # the record as json.dumps writes it, budgets spliced in
+    if args.as_json:
         header = json.dumps({
             "command": "enumerate",
             "file": args.file,
             "exhaustive_only": bool(args.exhaustive),
             "count": count,
         })
-        head, sep, tail = f'{header[:-1]}, "budgets": [[', "], [", "]]}"
+        head = f'{header[:-1]}, "budgets": [['
     else:
         head = f"{'exhaustive ' if args.exhaustive else ''}feasible budgets: {count}\n  {{"
-        sep, tail = "}\n  {", "}"
     body = sep.join(texts)
     del texts  # free the budgets' texts before the output is written
     print(head, body, tail, sep="")

@@ -1,15 +1,19 @@
 """Brute-force ground truth for desk-scale instances.
 
 Enumerates every feasible budget by one pruned walk over the subsets
-that fit (:func:`probud._bits.subsets_within`), certifies for which
+that fit (:func:`probud._bits.feasible_blocks`), certifies for which
 budgets an axiom holds (in particular whether any satisfying budget
 exists at all), and cross-checks the implication lattice between the ten
-axioms.  The walk yields ``(mask, total, exhaustive)`` for every feasible
-subset; :func:`_feasible_subsets` drops the non-exhaustive ones when
-asked.  :func:`certify_existence` and :func:`replay_witnesses` hand its
-``(mask, total)`` pairs straight to the checkers' group table and build
-a ``Budget`` only for a satisfier or a witness to recheck;
-:func:`enumerate_feasible` builds one per subset.
+axioms.  The walk takes the subsets of its head items one at a time and
+joins each with a block of tail subsets; its flattened view
+(:func:`probud._bits.subsets_within`) yields ``(mask, total,
+exhaustive)`` for every feasible subset, and :func:`_feasible_subsets`
+drops the non-exhaustive ones when asked.  :func:`certify_existence` and
+:func:`replay_witnesses` hand its ``(mask, total)`` pairs straight to the
+checkers' group table and build a ``Budget`` only for a satisfier or a
+witness to recheck; :func:`enumerate_feasible` builds one per subset.
+The CLI's ``enumerate`` reads the blocks themselves
+(:func:`_feasible_blocks`).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from ._bits import bits, subsets_within
+from ._bits import bits, feasible_blocks, subsets_within
 from .axioms import _GroupTable, _recheck_witness, _selection, implied_by
 from .errors import InvalidBudget, TooLargeForExact
 from .model import ALL_AXIOMS, AxiomId, Budget, Instance, Profile, _iterable, _require_instance, fit_bound
@@ -25,12 +29,13 @@ from .model import ALL_AXIOMS, AxiomId, Budget, Instance, Profile, _iterable, _r
 #: Hard cap on items for full budget enumeration.
 MAX_ENUM_ITEMS = 20
 
-#: Every implication edge ``(stronger, weaker)`` of the axiom lattice,
-#: in ``ALL_AXIOMS`` order of the stronger axiom and then the weaker.
+#: Every implication edge of the axiom lattice as a pair of positions
+#: ``(stronger, weaker)`` in ``ALL_AXIOMS``, in order of the stronger
+#: axiom and then the weaker.
 _IMPLICATION_PAIRS = tuple(
-    (stronger, weaker)
-    for stronger in ALL_AXIOMS
-    for weaker in ALL_AXIOMS
+    (i, j)
+    for i, stronger in enumerate(ALL_AXIOMS)
+    for j, weaker in enumerate(ALL_AXIOMS)
     if weaker != stronger and implied_by(weaker, stronger)
 )
 
@@ -63,14 +68,27 @@ def _feasible_subsets(inst: Instance, exhaustive_only: bool = False) -> Iterator
     callers that need no :class:`Budget`; enforces ``MAX_ENUM_ITEMS`` at
     once.  With ``exhaustive_only`` it yields only the exhaustive ones:
     the one filter the library's exhaustive sweeps share."""
+    _require_enumerable(inst)
+    walk = subsets_within(inst.cost, fit_bound(inst.limit))
+    return (entry for entry in walk if entry[2]) if exhaustive_only else walk
+
+
+def _feasible_blocks(inst: Instance, exhaustive_only: bool = False):
+    """The same walk as head subsets and blocks
+    (:func:`probud._bits.feasible_blocks`), for the CLI's ``enumerate``:
+    each block holds the tail subsets that are feasible, or with
+    ``exhaustive_only`` exhaustive, joined with its head subset."""
+    _require_enumerable(inst)
+    return feasible_blocks(inst.cost, fit_bound(inst.limit), "exhaustive" if exhaustive_only else "fitting")
+
+
+def _require_enumerable(inst: Instance) -> None:
     _require_instance(inst)
     m = inst.num_items
     if m > MAX_ENUM_ITEMS:
         raise TooLargeForExact(
             f"budget enumeration supports at most {MAX_ENUM_ITEMS} items, got {m}"
         )
-    walk = subsets_within(inst.cost, fit_bound(inst.limit))
-    return (entry for entry in walk if entry[2]) if exhaustive_only else walk
 
 
 def certify_existence(
@@ -120,7 +138,7 @@ def verify_implications(
         satisfied = table.verdicts(_selection(inst, budget))
         for stronger, weaker in _IMPLICATION_PAIRS:
             if satisfied[stronger] and not satisfied[weaker]:
-                violations.append((budget, stronger, weaker))
+                violations.append((budget, ALL_AXIOMS[stronger], ALL_AXIOMS[weaker]))
     return violations
 
 

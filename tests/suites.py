@@ -82,19 +82,20 @@ def random_feasible_budget(inst: Instance, rng: random.Random) -> Budget:
 BOUNDARY_SEEDS = range(2000)
 
 
-def boundary_instance(seed: int):
+def boundary_instance(seed: int, sizes: tuple[int, int] = (3, 6), share: float = 0.5):
     """Deterministic instance whose limit sits on a tolerance boundary,
-    with one random feasible budget: 3-6 items, half of them of unit
-    cost, 1-6 voters, and a limit at some subset's sum, moved by -TOL, 0
+    with one random feasible budget: ``sizes`` items (3-6 by default),
+    half of them of unit cost, 1-6 voters, and a limit at the sum of a
+    subset that takes each item with chance ``share``, moved by -TOL, 0
     or +TOL and then by up to three ulps either way.  Here the fit, reach
     and shortfall tests round apart wherever two modules state one of
     them differently."""
     rng = random.Random(seed)
-    m = rng.randint(3, 6)
+    m = rng.randint(*sizes)
     n = rng.randint(1, 6)
     costs = [1.0] + [1.0 if rng.random() < 0.5 else rng.uniform(1.0, 4.0) for _ in range(m - 1)]
     rng.shuffle(costs)
-    subset = [i for i in range(m) if rng.random() < 0.5] or [rng.randrange(m)]
+    subset = [i for i in range(m) if rng.random() < share] or [rng.randrange(m)]
     limit = sum((costs[i] for i in subset), 0.0) + rng.choice((-TOL, 0.0, TOL))
     limit += rng.randint(-3, 3) * math.ulp(limit)
     inst = Instance(tuple(f"c{j}" for j in range(m)), tuple(costs), limit)

@@ -782,7 +782,8 @@ def test_a_shared_group_table_answers_as_fresh_calls_in_any_budget_order():
             returns += total in seen and total != previous.total_cost
             seen.add(total)
             selection = (mask_of(budget.selected), total)
-            assert table.verdicts(selection) == evaluate_axioms(inst, profile, budget), f"seed {seed}"
+            verdicts = dict(zip(ALL_AXIOMS, table.verdicts(selection)))
+            assert verdicts == evaluate_axioms(inst, profile, budget), f"seed {seed}"
             for axiom in BPJR_AXIOMS:
                 assert table.report(selection, axiom) == check_axiom(inst, profile, budget, axiom), (
                     f"seed {seed} {axiom} on {sorted(budget.selected)}"

@@ -4,10 +4,13 @@ from pathlib import Path
 import pytest
 
 from probud import axioms, cli, harness, oracle, rules
+from probud._bits import _tail_start
 from probud.cli import main
-from probud.model import Budget
+from probud.model import TOL, Budget, Instance, fit_bound, is_exhaustive, is_feasible
 
 from conftest import FIXTURES, load_fixture
+from oracles import powerset
+from suites import boundary_instance
 
 EX1 = str(FIXTURES / "ex1.pb")
 EX2 = str(FIXTURES / "ex2.pb")
@@ -185,6 +188,70 @@ def test_enumerate_human_output(capsys):
     code, out = run(capsys, "enumerate", "--exhaustive", EX1)
     assert code == 0
     assert out == "exhaustive feasible budgets: 2\n  {c1, c3}\n  {c2, c3}\n"
+
+
+def _write_instance(inst: Instance, path) -> str:
+    """An instance file for ``inst`` (its cheapest cost is 1, so it is
+    its own normalization), with one voter approving nothing."""
+    f = harness.InstanceFile("walk", inst.names, inst.names, inst.cost, inst.limit, ("v1",), (frozenset(),))
+    path.write_text(harness.serialize_instance_file(f), encoding="utf-8")
+    assert harness.parse_instance_file(path.read_text(encoding="utf-8")).to_model()[0] == inst
+    return str(path)
+
+
+def _tail_size(inst: Instance) -> int:
+    return inst.num_items - _tail_start(inst.cost, fit_bound(inst.limit))
+
+
+def _assert_enumeration_matches_the_powerset(inst: Instance, path: str, capsys) -> None:
+    """The library's flattened walk, ``enumerate --json`` and human
+    ``enumerate``, each with and without ``--exhaustive``, against the
+    powerset in lexicographic order filtered by the model's own
+    ``is_feasible`` and ``is_exhaustive``."""
+    feasible = [
+        budget for budget in (Budget.of(inst, items) for items in sorted(powerset(range(inst.num_items))))
+        if is_feasible(inst, budget)
+    ]
+    for exhaustive, want in ((False, feasible), (True, [b for b in feasible if is_exhaustive(inst, b)])):
+        assert oracle.enumerate_feasible(inst, exhaustive_only=exhaustive) == want, f"exhaustive={exhaustive}"
+        flag = ["--exhaustive"] if exhaustive else []
+        names = [[inst.names[i] for i in sorted(budget.selected)] for budget in want]
+        code, out = run(capsys, "enumerate", *flag, "--json", path)
+        assert code == 0
+        record = {"command": "enumerate", "file": path, "exhaustive_only": exhaustive, "count": len(want), "budgets": names}
+        _assert_same_text(out, json.dumps(record) + "\n")
+        code, out = run(capsys, "enumerate", *flag, path)
+        assert code == 0
+        lines = [f"{'exhaustive ' if exhaustive else ''}feasible budgets: {len(want)}"]
+        _assert_same_text(out, "\n".join(lines + ["  {" + ", ".join(items) + "}" for items in names]) + "\n")
+
+
+def test_enumeration_over_head_and_tail_matches_the_powerset(tmp_path, capsys):
+    # 7-14 items with the limit at a subset sum, moved by TOL and a few
+    # ulps, so that blocks are cut at the bound; most split off a tail
+    tails = 0
+    for seed in range(32):
+        inst, _, _ = boundary_instance(seed, sizes=(7, 14), share=0.75)
+        _assert_enumeration_matches_the_powerset(inst, _write_instance(inst, tmp_path / f"s{seed}.pb"), capsys)
+        tails += _tail_size(inst) > 0
+    assert tails >= 16, tails
+
+
+@pytest.mark.parametrize("costs, limit, tail", [
+    # {c0} plus six 2.0 tail items fits head item c1 (above c0) and no
+    # tail item, so the block's lightest total must count c1
+    ((1.0, 1.0) + (2.0,) * 7, 14.0, 7),
+    # {c0} plus tail items c3-c7 fits tail item c1 (below c7) and not c2
+    ((2.0, 1.0) + (2.0,) * 6, 13.0, 7),
+    # no suffix of seven items fits, so there is no tail
+    ((1.0,) * 10, 3.0 - TOL, 0),
+    # every item is a tail item: the head is empty
+    ((1.0, 1.5, 1.0, 2.0, 1.0, 1.25, 1.0), 8.75 - TOL, 7),
+], ids=["head-item-above-base", "tail-item-below-largest", "empty-tail", "empty-head"])
+def test_enumeration_at_the_split_matches_the_powerset(tmp_path, capsys, costs, limit, tail):
+    inst = Instance(tuple(f"c{j}" for j in range(len(costs))), costs, limit)
+    assert _tail_size(inst) == tail
+    _assert_enumeration_matches_the_powerset(inst, _write_instance(inst, tmp_path / "split.pb"), capsys)
 
 
 def test_certify_nonexistence_json(capsys):

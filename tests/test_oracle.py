@@ -45,11 +45,12 @@ def test_enumerate_exhaustive_at_the_bound():
 
 @st.composite
 def _instances_on_the_bound(draw):
-    """Small instances whose bound ``limit + TOL`` is often exactly the
-    total of some subset."""
+    """Instances of up to 13 items, so that the walk's tail is often
+    split off, whose bound ``limit + TOL`` is often exactly the total of
+    some subset."""
     costs = draw(st.lists(
         st.one_of(st.sampled_from((1.0, 1.25, 1.5, 2.0, 3.0)), st.floats(1.0, 4.0)),
-        max_size=6,
+        max_size=12,
     ))
     costs.insert(draw(st.integers(0, len(costs))), 1.0)
     subset = draw(st.sets(st.sampled_from(range(len(costs)))))
