@@ -262,19 +262,22 @@ def _cmd_enumerate(args) -> int:
     suffix = [""]
     for name in quoted[start:]:
         suffix += [f"{text}, {name}" if text else name for text in suffix]
-    for mask, _, exhaustive, kept in walk:
-        d = mask.bit_count()
-        if kept is None:
-            if d:
-                newest = quoted[mask.bit_length() - 1]
-                chain[d] = f"{chain[d - 1]}, {newest}" if d > 1 else newest
-            if exhaustive or keep_all:
-                texts.append(chain[d])
-                count += 1
-        elif kept:
-            prefix = f"{chain[d]}, " if d else ""
-            texts.append(prefix + (sep + prefix).join(map(suffix.__getitem__, kept)))
-            count += len(kept)
+    for step in walk:
+        d = step[0].bit_count()
+        if len(step) == 2:  # a head subset's block
+            mask, kept = step
+            if kept:
+                prefix = f"{chain[d]}, " if d else ""
+                texts.append(prefix + (sep + prefix).join(map(suffix.__getitem__, kept)))
+                count += len(kept)
+            continue
+        mask, _, exhaustive = step
+        if d:
+            newest = quoted[mask.bit_length() - 1]
+            chain[d] = f"{chain[d - 1]}, {newest}" if d > 1 else newest
+        if exhaustive or keep_all:
+            texts.append(chain[d])
+            count += 1
     # The walk yields at least one budget (the empty budget is feasible, and
     # some feasible budget is exhaustive), so every output has a first and
     # a last budget to wrap.

@@ -5,8 +5,8 @@ that fit (:func:`probud._bits.feasible_blocks`), certifies for which
 budgets an axiom holds (in particular whether any satisfying budget
 exists at all), and cross-checks the implication lattice between the ten
 axioms.  The walk takes the subsets of its head items one at a time and
-joins each with a block of tail subsets; its flattened view
-(:func:`probud._bits.subsets_within`) yields ``(mask, total,
+joins each with a block of tail subsets.  Split with no tail
+(:func:`probud._bits.subsets_within`), it yields ``(mask, total,
 exhaustive)`` for every feasible subset, and :func:`_feasible_subsets`
 drops the non-exhaustive ones when asked.  :func:`certify_existence` and
 :func:`replay_witnesses` hand its ``(mask, total)`` pairs straight to the
@@ -79,7 +79,7 @@ def _feasible_blocks(inst: Instance, exhaustive_only: bool = False):
     each block holds the tail subsets that are feasible, or with
     ``exhaustive_only`` exhaustive, joined with its head subset."""
     _require_enumerable(inst)
-    return feasible_blocks(inst.cost, fit_bound(inst.limit), "exhaustive" if exhaustive_only else "fitting")
+    return feasible_blocks(inst.cost, fit_bound(inst.limit), exhaustive_only)
 
 
 def _require_enumerable(inst: Instance) -> None:

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from probud._bits import feasible_blocks, subsets_within
 from probud.errors import TooLargeForExact
 from probud.harness import GenSpec, generate
-from probud.model import TOL, AxiomId, Budget, Instance, is_exhaustive, is_feasible, normalize
+from probud.model import TOL, AxiomId, Budget, Instance, fit_bound, is_exhaustive, is_feasible, normalize
 from probud.oracle import (
     certify_existence,
     enumerate_feasible,
@@ -65,6 +66,22 @@ def test_exhaustive_enumeration_agrees_with_is_exhaustive(inst):
     assert enumerate_feasible(inst, exhaustive_only=True) == [
         budget for budget in feasible if is_exhaustive(inst, budget)
     ]
+
+
+@given(_instances_on_the_bound())
+def test_the_walks_blocks_flatten_to_the_feasible_subsets(inst):
+    # the CLI's enumerate reads the walk as head subsets and blocks of tail
+    # subsets; joined back, they are the flat view's subsets, in its order
+    walk = list(subsets_within(inst.cost, fit_bound(inst.limit)))
+    for exhaustive_only in (False, True):
+        start, steps = feasible_blocks(inst.cost, fit_bound(inst.limit), exhaustive_only)
+        masks = []
+        for step in steps:
+            if len(step) == 3:
+                masks += [step[0]] if step[2] or not exhaustive_only else []
+            else:
+                masks += [step[0] | r << start for r in step[1]]
+        assert masks == [mask for mask, _, exhaustive in walk if exhaustive or not exhaustive_only]
 
 
 def test_exhaustive_budgets_at_tolerance_boundaries_admit_no_further_item():
