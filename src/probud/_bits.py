@@ -25,10 +25,10 @@ from operator import add, itemgetter, le
 from typing import Iterable, Iterator, Sequence
 
 #: The most and the fewest items the walk's tail takes, so that a block
-#: has 127 to 255 entries: a smaller block costs more in list set-up than
-#: walking its entries one at a time.
+#: has 7 to 255 entries: a smaller one costs more to set up than walking
+#: its entries one at a time.
 _TAIL_CAP = 8
-_TAIL_FLOOR = 7
+_TAIL_FLOOR = 3
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -95,7 +95,9 @@ class _Tail:
     lex order by calls that loop in C.
 
     Each block method takes the head subset's total and the lightest
-    total of it plus one head item outside it.
+    total of it plus one head item outside it, and keeps every block it
+    cuts at the bound by the totals that decide it: head subsets of equal
+    totals, as unit or round costs give many of, share one.
     """
 
     def __init__(self, costs: Sequence[float], bound: float):
@@ -107,6 +109,7 @@ class _Tail:
         self.items = [()]
         for c in self.costs:
             self.items += [items + (c,) for items in self.items]
+        self.blocks: dict = {}
 
     def fold(self, total: float) -> float:
         """``total`` plus every tail item: the heaviest entry of a block."""
@@ -123,9 +126,14 @@ class _Tail:
 
     def fitting(self, total: float, lightest: float) -> Sequence[int]:
         """The nonempty ``T`` with ``total + T`` feasible, in lex order."""
-        if self.fold(total) <= self.bound:
+        bound = self.bound
+        if self.fold(total) <= bound:
             return self.lex
-        return list(compress(self.lex, self.in_lex(self._fits(self.sums(total)))))
+        kept = self.blocks.get(total)
+        if kept is None:
+            sums = self.in_lex(self.sums(total))
+            kept = self.blocks[total] = list(compress(self.lex, map(le, sums, repeat(bound))))
+        return kept
 
     def exhaustive(self, total: float, lightest: float) -> Sequence[int]:
         """The nonempty ``T`` with ``total + T`` feasible and exhaustive,
@@ -141,13 +149,18 @@ class _Tail:
             return ()
         if self.fold(total) <= bound:
             return ((1 << len(self.costs)) - 1,)
-        fits = self._fits(self.sums(total))
-        fit, grown = int.from_bytes(fits, "little"), 0
-        for shift, without in self.grows:
-            grown |= fit >> shift & without
-        maximal = (fit & ~grown).to_bytes(len(fits), "little")
-        items = self.items
-        return [r for r in compress(self.lex, self.in_lex(maximal)) if reduce(add, items[r], lightest) > bound]
+        kept = self.blocks.get((total, lightest))
+        if kept is None:
+            fits = self._fits(self.sums(total))
+            fit, grown = int.from_bytes(fits, "little"), 0
+            for shift, without in self.grows:
+                grown |= fit >> shift & without
+            maximal = (fit & ~grown).to_bytes(len(fits), "little")
+            items = self.items
+            kept = self.blocks[total, lightest] = [
+                r for r in compress(self.lex, self.in_lex(maximal)) if reduce(add, items[r], lightest) > bound
+            ]
+        return kept
 
     def _fits(self, sums: list[float]) -> bytes:
         return bytes(map(le, sums, repeat(self.bound)))

@@ -243,8 +243,8 @@ def test_enumeration_over_head_and_tail_matches_the_powerset(tmp_path, capsys):
     ((1.0, 1.0) + (2.0,) * 7, 14.0, 7),
     # {c0} plus tail items c3-c7 fits tail item c1 (below c7) and not c2
     ((2.0, 1.0) + (2.0,) * 6, 13.0, 7),
-    # no suffix of seven items fits, so there is no tail
-    ((1.0,) * 10, 3.0 - TOL, 0),
+    # no suffix of three items fits, so there is no tail
+    ((1.0,) * 10, 2.0 - TOL, 0),
     # every item is a tail item: the head is empty
     ((1.0, 1.5, 1.0, 2.0, 1.0, 1.25, 1.0), 8.75 - TOL, 7),
 ], ids=["head-item-above-base", "tail-item-below-largest", "empty-tail", "empty-head"])
