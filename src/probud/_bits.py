@@ -151,7 +151,7 @@ class _Tail:
             return ((1 << len(self.costs)) - 1,)
         kept = self.blocks.get((total, lightest))
         if kept is None:
-            fits = self._fits(self.sums(total))
+            fits = bytes(map(le, self.sums(total), repeat(bound)))
             fit, grown = int.from_bytes(fits, "little"), 0
             for shift, without in self.grows:
                 grown |= fit >> shift & without
@@ -161,9 +161,6 @@ class _Tail:
                 r for r in compress(self.lex, self.in_lex(maximal)) if reduce(add, items[r], lightest) > bound
             ]
         return kept
-
-    def _fits(self, sums: list[float]) -> bytes:
-        return bytes(map(le, sums, repeat(self.bound)))
 
 
 def feasible_blocks(costs: Sequence[float], bound: float, exhaustive_only: bool) -> tuple[int, Iterator[tuple]]:
