@@ -218,7 +218,9 @@ def _assert_enumeration_matches_the_powerset(inst: Instance, path: str, capsys) 
         names = [[inst.names[i] for i in sorted(budget.selected)] for budget in want]
         code, out = run(capsys, "enumerate", *flag, "--json", path)
         assert code == 0
-        record = {"command": "enumerate", "file": path, "exhaustive_only": exhaustive, "count": len(want), "budgets": names}
+        record = {
+            "command": "enumerate", "file": path, "exhaustive_only": exhaustive, "count": len(want), "budgets": names,
+        }
         _assert_same_text(out, json.dumps(record) + "\n")
         code, out = run(capsys, "enumerate", *flag, path)
         assert code == 0
