@@ -11,9 +11,9 @@ with no tail, one ``(mask, total, exhaustive)`` per subset
 (:func:`subsets_within`).  Tables of subsets whose
 order does not matter (the constructive BPJR-L rule's bundles and subset
 sums, the knapsack's halves) are doubled item by item where they are
-built.  Subset totals are summed in ascending item order here, as in
-``Instance.weight`` and in those doublings, so the same items always
-give the same float.
+built.  Subset totals are added left to right in ascending item order
+here, as in ``Instance.weight`` and in those doublings, so the same
+items always give the same float.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cache, reduce
 from itertools import accumulate, compress, repeat
 from math import inf
 from operator import add, itemgetter, le
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 #: The most and the fewest items the walk's tail takes, so that a block
 #: has 7 to 255 entries: a smaller one costs more to set up than walking
@@ -76,12 +76,7 @@ def _tail_start(costs: Sequence[float], bound: float) -> int:
     ``bound``, so that the empty head subset's block is complete, and is
     empty if that suffix has fewer than ``_TAIL_FLOOR`` items."""
     m = start = len(costs)
-    while start and m - start < _TAIL_CAP:
-        total = 0.0
-        for c in costs[start - 1:]:
-            total += c
-        if total > bound:
-            break
+    while start and m - start < _TAIL_CAP and reduce(add, costs[start - 1:], 0.0) <= bound:
         start -= 1
     return start if m - start >= _TAIL_FLOOR else m
 
@@ -251,19 +246,19 @@ def _walk(costs, bound, start, cheapest_tail, block):
         yield mask, total, len(stack) == depth and not lightest <= bound
 
 
-class MaskWeights(dict):
-    """Total cost of item subsets encoded as bitmasks, looked up as
-    ``weights[mask]``.
-
-    Each mask's sum is taken from ``0.0`` over its set bits in ascending
-    order, as in ``Instance.weight``, on first use and memoized, so the
-    table grows with the masks actually asked for rather than with 2^m.
+class MaskFold(dict):
+    """A fold over the costs of item subsets encoded as bitmasks, looked
+    up as ``memo[mask]``: ``op`` applied left to right from ``start`` over
+    the mask's set bits in ascending order, on first use and memoized, so
+    the table grows with the masks actually asked for rather than with
+    2^m.  ``add`` from ``0.0`` gives the weight of ``Instance.weight``;
+    ``min`` from ``inf`` gives the cheapest item's cost.
     """
 
-    def __init__(self, costs: Sequence[float]):
+    def __init__(self, costs: Sequence[float], op: Callable[[float, float], float], start: float):
         super().__init__()
-        self._costs = tuple(costs)
+        self._costs, self._op, self._start = tuple(costs), op, start
 
     def __missing__(self, mask: int) -> float:
-        weight = self[mask] = sum((self._costs[i] for i in bits(mask)), 0.0)
-        return weight
+        folded = self[mask] = reduce(self._op, map(self._costs.__getitem__, bits(mask)), self._start)
+        return folded

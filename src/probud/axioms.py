@@ -35,8 +35,8 @@ the weight it compares with, an entry whose represented weight is not
 short of the ceiling is not short of the knapsack's weight either, and
 BPJR skips its knapsack.  The ceiling rests on that ``s + r``
 arithmetic: a knapsack that weighs its bundle another way must restate
-it.  Local-BPJR memoizes each tested mask's cheapest item cost, as
-:class:`probud._bits.MaskWeights` memoizes weights.
+it.  A :class:`probud._bits.MaskFold` memoizes subset weights, and
+another each mask's cheapest item cost that Local-BPJR tests.
 
 Errors, in this order: an invalid profile raises ``InvalidProfile``; a
 budget that is infeasible, names an unknown item or carries a
@@ -71,9 +71,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
-from ._bits import MaskWeights, bits, mask_of
+from ._bits import MaskFold, bits, mask_of
 from .errors import InvalidBudget, InvalidChoice, InvalidCost, InvalidLimit, TooLargeForExact
 from .model import (
     ALL_AXIOMS,
@@ -90,6 +91,7 @@ from .model import (
     fit_bound,
     fits,
     is_feasible,
+    is_unit,
     reaches,
 )
 
@@ -255,20 +257,6 @@ def _selection(inst: Instance, budget: Budget) -> tuple[int, float]:
     return mask_of(budget.selected), budget.total_cost
 
 
-class _MaskCheapest(dict):
-    """Cost of the cheapest item of nonempty item subsets encoded as
-    bitmasks, looked up as ``cheapest[mask]`` and memoized on first use,
-    as :class:`probud._bits.MaskWeights` memoizes their sums."""
-
-    def __init__(self, costs: Sequence[float]):
-        super().__init__()
-        self._costs = tuple(costs)
-
-    def __missing__(self, mask: int) -> float:
-        cheapest = self[mask] = min(self._costs[i] for i in bits(mask))
-        return cheapest
-
-
 class _GroupTable:
     """Everything the checkers need from ``(inst, profile)`` alone, built
     once per public call and shared by every selection it checks: approver
@@ -284,8 +272,8 @@ class _GroupTable:
         self.approvers = _require_profile(inst, profile)
         self.inst = inst
         self.n = profile.num_voters
-        self.weights = MaskWeights(inst.cost)
-        self.cheapest = _MaskCheapest(inst.cost)
+        self.weights = MaskFold(inst.cost, add, 0.0)
+        self.cheapest = MaskFold(inst.cost, min, math.inf)
         self._bundles: dict[tuple[int, float], tuple[float, int]] = {}
         # (variant, verdict_only) -> (denominator, claims built, entries
         # unread, {size: (share, cap, ceiling)})
@@ -435,7 +423,7 @@ class _GroupTable:
                 represented |= self.approvers[c]
             qualifying = []
             for c, voters in enumerate(self.approvers):
-                if family == "bjr" and abs(inst.cost[c] - 1.0) > TOL:
+                if family == "bjr" and not is_unit(inst.cost[c]):
                     continue  # plain BJR owes only unit-cost items
                 group = voters & ~represented
                 if group and reaches(group.bit_count(), n, denom, 1.0):
@@ -671,7 +659,7 @@ def _recheck_witness(inst: Instance, profile: Profile, budget: Budget, report: A
         if union & budget.selected or len(bundle) != 1:
             return False
         (item,) = bundle
-        if axiom.family == "bjr" and abs(inst.cost[item] - 1.0) > TOL:
+        if axiom.family == "bjr" and not is_unit(inst.cost[item]):
             return False
         return reaches(len(voters), n, denom, 1.0)
     if axiom.family == "strong-bpjr":

@@ -36,6 +36,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import add
 from .errors import DuplicateItem, InvalidSpec, ParseError
 from .model import Instance, Profile, _beyond_float, fits, normalize
 
@@ -329,7 +331,7 @@ def generate_file(spec: GenSpec, name: str = "generated") -> InstanceFile:
             }
             ballots.append(frozenset(approved))
 
-    raw_limit = spec.limit_fraction * sum(costs)
+    raw_limit = spec.limit_fraction * reduce(add, costs, 0.0)
     if not math.isfinite(raw_limit):
         raise InvalidSpec("the raw limit or the raw cost total is not a finite number")
     if not fits(1.0, raw_limit / min(costs)):  # the cheapest item against the normalized limit

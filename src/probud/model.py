@@ -6,9 +6,10 @@ keeps verdicts invariant under rescaling of the currency.  All numeric
 comparisons use the single absolute tolerance ``TOL``, and each tolerance
 test is stated once, here, in weight units: :func:`fits` (an amount within
 a bound, with :func:`fit_bound` the largest amount that fits),
-:func:`reaches` (a group claims a level) and :func:`falls_short` (a weight
-below another).  The rules, the checkers, ``recheck_witness``, the
-subset walk's bound and the instance generator call them.
+:func:`reaches` (a group claims a level), :func:`falls_short` (a weight
+below another) and :func:`is_unit` (a cost of one unit).  The rules, the
+checkers, ``recheck_witness``, the subset walk's bound and the instance
+generator call them.
 
 Every type here is immutable after construction and safe to share across
 threads; the module-level operations are pure functions.
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import InvalidBudget, InvalidChoice, InvalidCost, InvalidLimit, InvalidProfile
@@ -51,9 +54,9 @@ class Instance:
             raise InvalidCost("names and costs differ in length")
         for name, c in zip(self.names, self.cost):
             _check_cost(name, c)
-        if abs(min(self.cost) - 1.0) > TOL:
+        if not is_unit(min(self.cost)):
             raise InvalidCost("costs are not normalized: the cheapest item must cost 1")
-        if not math.isfinite(sum(self.cost)):
+        if not math.isfinite(reduce(add, self.cost, 0.0)):
             raise InvalidCost("the total cost of all items overflows to infinity")
         _check_limit(self.limit)
 
@@ -62,10 +65,10 @@ class Instance:
         return len(self.names)
 
     def weight(self, items: Iterable[int]) -> float:
-        """Total cost of the given item indices, summed from ``0.0`` in
-        ascending index order, so the same items always give the same
-        float and no items give ``0.0``."""
-        return sum((self.cost[i] for i in sorted(items)), 0.0)
+        """Total cost of the given item indices, added left to right from
+        ``0.0`` in ascending index order, so the same items always give
+        the same float and no items give ``0.0``."""
+        return reduce(add, map(self.cost.__getitem__, sorted(items)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -228,9 +231,11 @@ def fit_bound(bound: float) -> float:
 
 def fits(amount: float, bound: float) -> bool:
     """True iff ``amount`` is at most ``bound``, within ``TOL``.  The amount
-    of an item set is its sum in ascending index order, as
-    ``Instance.weight``, ``MaskWeights`` and the subset walk give it, so one
-    set always gets one verdict."""
+    of an item set is ``reduce(add, costs, 0.0)`` over its costs in
+    ascending index order, as ``Instance.weight``, ``MaskFold`` and the
+    subset walk give it, so one set always gets one verdict.  It is not the
+    builtin ``sum``: from Python 3.12 on that compensates float rounding,
+    and can round a total one ulp away from the fold."""
     return amount <= fit_bound(bound)
 
 
@@ -244,6 +249,11 @@ def reaches(size: int, n: int, denom: float, level: float) -> bool:
 def falls_short(have: float, need: float) -> bool:
     """True iff the weight ``have`` is below ``need`` by more than ``TOL``."""
     return have < need - TOL
+
+
+def is_unit(cost: float) -> bool:
+    """True iff ``cost`` is one normalized unit, within ``TOL``."""
+    return abs(cost - 1.0) <= TOL
 
 
 def is_feasible(inst: Instance, budget: Budget) -> bool:

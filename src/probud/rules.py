@@ -39,12 +39,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from ._bits import MaskWeights, bits
+from ._bits import MaskFold, bits
 from .errors import InvalidBudget, InvalidChoice, InvalidProfile, NoApprover, TooLargeForExact
 from .model import (TOL, Budget, Instance, Profile, _iterable, _require_items, _require_profile,
-                    falls_short, fit_bound, fits)
+                    falls_short, fit_bound, fits, is_unit)
 
 #: Recognized tie-breaking policies for the sequential rule.
 TIE_POLICIES = ("lex", "cheapest", "most-approved")
@@ -318,7 +320,7 @@ def _optimal_load(
         # the cap only grows, so the flow found so far stays feasible: give
         # each type its room under the new cap and augment from there
         for t, s in enumerate(size):
-            room[t] = s * load_cap - sum(flow[i][t] for i in users[t])
+            room[t] = s * load_cap - reduce(add, [flow[i][t] for i in users[t]], 0.0)
 
 
 def _hall_ratio(inst: Instance, approvers: Sequence[int], items: list[int]) -> float:
@@ -422,7 +424,7 @@ def greedy_bjr_l(inst: Instance, profile: Profile) -> Budget:
     approvers = _require_profile(inst, profile)
     if profile.num_voters == 0:
         raise InvalidProfile("greedy_bjr_l needs at least one voter")
-    unit_items = [c for c in range(inst.num_items) if abs(inst.cost[c] - 1.0) <= TOL]
+    unit_items = [c for c in range(inst.num_items) if is_unit(inst.cost[c])]
     selected: set[int] = set()
     if not fits(inst.weight(unit_items), inst.limit):
         remaining = (1 << profile.num_voters) - 1
@@ -509,7 +511,7 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
 
     active = (1 << n) - 1  # voters not yet served, as a bitmask
     selected_mask = 0
-    cost_of = MaskWeights(inst.cost)
+    cost_of = MaskFold(inst.cost, add, 0.0)
     for level in [levels[i] for i in sorted(visit, reverse=True)]:
         window = bundles[bisect_left(weights, level - TOL):bisect_right(weights, level + TOL)]
         threshold = level * n / inst.limit - TOL

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from probud.axioms import BRUTE_FORCE, POLYNOMIAL, AxiomReport, AxiomWitness, max_bundle
 from probud.model import TOL, AxiomId, Budget, Instance, Profile
@@ -173,14 +175,15 @@ def reference_bpjr_report(inst: Instance, profile: Profile, budget: Budget, axio
     """The BPJR-family checkers as a sweep over every cohesive voter group,
     one group at a time, with no table or collapsing: the maximum-deficit
     violation with the lexicographically smallest voter tuple is the
-    witness.  Item-set weights sum costs in ascending item order."""
+    witness.  Item-set weights add costs left to right in ascending item
+    order, as ``Instance.weight`` does."""
     n = profile.num_voters
     denom = inst.limit if axiom.variant == "l" else budget.total_cost
     if denom <= TOL or n == 0:
         return AxiomReport(axiom, True, None, BRUTE_FORCE)
 
     def weigh(mask):
-        return sum(inst.cost[i] for i in _bits(mask))
+        return reduce(add, (inst.cost[i] for i in _bits(mask)), 0.0)
 
     def knap(mask, cap):
         weight, bundle = max_bundle({i: inst.cost[i] for i in _bits(mask)}, cap)
@@ -273,13 +276,13 @@ def reference_bpjr_construct(inst: Instance, profile: Profile) -> Budget:
     fitting bundle within TOL of it that the most still-active voters
     approve entirely, ties to fewer items, then the smaller sorted index
     tuple; it needs at least level * n / limit - TOL supporters, who are
-    then retired.  A cheapest-first fill comes last.  Bundle weights sum
-    costs in ascending item order."""
+    then retired.  A cheapest-first fill comes last.  Bundle weights add
+    costs left to right in ascending item order."""
     m, n, limit = inst.num_items, profile.num_voters, inst.limit
     bundles = []
     for size in range(1, m + 1):
         for items in itertools.combinations(range(m), size):
-            weight = sum(inst.cost[i] for i in items)
+            weight = reduce(add, (inst.cost[i] for i in items), 0.0)
             if weight <= limit + TOL:
                 bundles.append((weight, items))
     levels = []

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+from functools import reduce
+from operator import add
 
 from probud.errors import InvalidSpec
 from probud.harness import GenSpec, generate
@@ -96,7 +98,7 @@ def boundary_instance(seed: int, sizes: tuple[int, int] = (3, 6), share: float =
     costs = [1.0] + [1.0 if rng.random() < 0.5 else rng.uniform(1.0, 4.0) for _ in range(m - 1)]
     rng.shuffle(costs)
     subset = [i for i in range(m) if rng.random() < share] or [rng.randrange(m)]
-    limit = sum((costs[i] for i in subset), 0.0) + rng.choice((-TOL, 0.0, TOL))
+    limit = reduce(add, (costs[i] for i in subset), 0.0) + rng.choice((-TOL, 0.0, TOL))
     limit += rng.randint(-3, 3) * math.ulp(limit)
     inst = Instance(tuple(f"c{j}" for j in range(m)), tuple(costs), limit)
     p = rng.uniform(0.3, 0.9)

@@ -85,6 +85,8 @@ def test_instance_rejects_non_finite_numbers():
         Instance(("a", "b"), (1.0, math.nan), 1.0)
     with pytest.raises(InvalidCost):
         Instance(("a", "b", "c"), (1.0, 1e308, 1e308), 1.0)  # total overflows
+    with pytest.raises(InvalidCost):
+        Instance(("a", "b", "c"), (1, 10**308, 10**308), 1.0)  # an int total beyond float range
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,8 @@
+import builtins
+import math
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,7 +59,7 @@ def _instances_on_the_bound(draw):
     ))
     costs.insert(draw(st.integers(0, len(costs))), 1.0)
     subset = draw(st.sets(st.sampled_from(range(len(costs)))))
-    total = sum(costs[i] for i in sorted(subset))
+    total = reduce(add, (costs[i] for i in sorted(subset)), 0.0)
     limit = draw(st.one_of(st.just(max(total - TOL, 0.0)), st.floats(0.0, sum(costs))))
     return Instance(tuple(f"c{j}" for j in range(len(costs))), tuple(costs), limit)
 
@@ -109,11 +113,10 @@ def test_enumerate_counts_match_recursive_generator():
     for seed in range(40):
         inst, _ = suite_instance(seed)
         bound = inst.limit + TOL
-        feasible = sorted(
-            (subset, sum(inst.cost[i] for i in subset))
-            for subset in powerset(range(inst.num_items))
-            if sum(inst.cost[i] for i in subset) <= bound
-        )
+        totals = [
+            (subset, reduce(add, (inst.cost[i] for i in subset), 0.0)) for subset in powerset(range(inst.num_items))
+        ]
+        feasible = sorted((subset, total) for subset, total in totals if total <= bound)
         for exhaustive_only in (False, True):
             budgets = enumerate_feasible(inst, exhaustive_only=exhaustive_only)
             expected = [
@@ -128,7 +131,29 @@ def test_enumerate_counts_match_recursive_generator():
             assert len(budgets) == counted, f"seed {seed} exhaustive={exhaustive_only}"
 
 
-def test_enumerated_budgets_equal_budget_of_their_items():
+_builtin_sum = sum
+
+
+def _compensated_sum(values, start=0):
+    """The builtin ``sum`` as CPython 3.12 and later compute it over floats,
+    with Neumaier's compensated summation; any other input goes to the
+    builtin."""
+    values = list(values)
+    if not values or type(start) not in (int, float) or not all(type(x) is float for x in values):
+        return _builtin_sum(values, start)
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+@pytest.mark.parametrize("summation", [_builtin_sum, _compensated_sum], ids=["builtin", "compensated"])
+def test_enumerated_budgets_equal_budget_of_their_items(monkeypatch, summation):
+    # the walk's totals and Budget.of's agree whichever float sum the
+    # interpreter's builtin is, since neither calls it
+    monkeypatch.setattr(builtins, "sum", summation)
     large, _ = generate(
         GenSpec(num_items=16, num_voters=1, cost_model="uniform", limit_fraction=0.3, seed=3)
     )
@@ -325,8 +350,6 @@ def test_certify_bpjr_w_runs_a_knapsack_only_where_a_group_can_fall_short(monkey
     # a BPJR group whose represented weight covers the ceiling of its
     # knapsack cap (one float step past cap + TOL) cannot fall short of the
     # knapsack's weight, so no knapsack is run for it
-    import math
-
     import probud.axioms
     from oracles import _bits, _voter_groups
 
@@ -338,7 +361,7 @@ def test_certify_bpjr_w_runs_a_knapsack_only_where_a_group_can_fall_short(monkey
     certify_existence(inst, profile, AxiomId("bpjr", "w"), exhaustive_only=True)
 
     def weigh(mask):
-        return sum(inst.cost[i] for i in _bits(mask))
+        return reduce(add, (inst.cost[i] for i in _bits(mask)), 0.0)
 
     largest = {}
     for voters, common, union in _voter_groups([sum(1 << i for i in b) for b in profile.ballots]):
