@@ -253,6 +253,11 @@ class MaskFold(dict):
     the table grows with the masks actually asked for rather than with
     2^m.  ``add`` from ``0.0`` gives the weight of ``Instance.weight``;
     ``min`` from ``inf`` gives the cheapest item's cost.
+
+    A mask's fold is ``op`` of its fold without its top bit and that
+    bit's cost, so a miss starts from the longest memoized mask that is
+    the missed one less some top bits, and memoizes each mask on the way
+    up: masks that share low bits share their folds' prefixes.
     """
 
     def __init__(self, costs: Sequence[float], op: Callable[[float, float], float], start: float):
@@ -260,5 +265,13 @@ class MaskFold(dict):
         self._costs, self._op, self._start = tuple(costs), op, start
 
     def __missing__(self, mask: int) -> float:
-        folded = self[mask] = reduce(self._op, map(self._costs.__getitem__, bits(mask)), self._start)
+        low, tops = mask, []
+        while low and low not in self:
+            top = low.bit_length() - 1
+            tops.append(top)
+            low ^= 1 << top
+        folded = self[low] if low else self._start
+        for top in reversed(tops):
+            low |= 1 << top
+            folded = self[low] = self._op(folded, self._costs[top])
         return folded

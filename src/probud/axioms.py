@@ -38,6 +38,13 @@ arithmetic: a knapsack that weighs its bundle another way must restate
 it.  A :class:`probud._bits.MaskFold` memoizes subset weights, and
 another each mask's cheapest item cost that Local-BPJR tests.
 
+:func:`check_axiom` reads no group at all where a per-voter bound
+already settles a BPJR-family check as satisfied
+(:meth:`_GroupTable.certified`): each voter's represented weight bounds
+that of every group holding the voter.  The bound sorts each item's
+approvers once per selection, so it runs for a single selection only;
+verdicts over many selections share one sweep instead.
+
 Errors, in this order: an invalid profile raises ``InvalidProfile``; a
 budget that is infeasible, names an unknown item or carries a
 ``total_cost`` other than its items' cost raises ``InvalidBudget``.
@@ -261,10 +268,10 @@ class _GroupTable:
     """Everything the checkers need from ``(inst, profile)`` alone, built
     once per public call and shared by every selection it checks: approver
     masks, memoized subset weights and cheapest item costs, one knapsack
-    cache keyed by (item mask, cap), on first use the cohesive groups of
-    :func:`_cohesive_groups` and their largest-size classes, and the
-    :meth:`claims` of the latest denominator of each variant and mode.  It
-    keeps no profile and reads a
+    cache keyed by (item mask, cap), on first use the voters' ballot masks,
+    the cohesive groups of :func:`_cohesive_groups` and their largest-size
+    classes, and the :meth:`claims` of the latest denominator of each
+    variant and mode.  It keeps no profile and reads a
     selection as an admitted ``(item mask, total)`` pair (:func:`_selection`).
     """
 
@@ -280,11 +287,14 @@ class _GroupTable:
         self._claims_held: dict[tuple[str, bool], tuple[float, list[tuple], Iterator, dict]] = {}
 
     @cached_property
+    def ballots(self) -> list[int]:
+        """Each voter's ballot as an item mask, read off the approver masks."""
+        return [mask_of(c for c, voters in enumerate(self.approvers) if voters >> v & 1) for v in range(self.n)]
+
+    @cached_property
     def groups(self) -> list[tuple[tuple[int, ...], int, int]]:
         """One entry per (common, union, size), in voter-tuple order."""
-        # each voter's ballot as an item mask, read off the approver masks
-        return _cohesive_groups([mask_of(c for c, voters in enumerate(self.approvers) if voters >> v & 1)
-                                 for v in range(self.n)])
+        return _cohesive_groups(self.ballots)
 
     @cached_property
     def classes(self) -> list[tuple[tuple[int, ...], int, int]]:
@@ -402,6 +412,66 @@ class _GroupTable:
                 f"exact subset sweep supports at most {MAX_EXACT_VOTERS} voters, got {self.n}"
             )
 
+    def _refuse(self, family: str, denom: float) -> None:
+        """Raise ``TooLargeForExact`` where a full BPJR-family sweep would
+        hand the knapsack too many common items: those of every BPJR group
+        reaching level 1 and of every Local-BPJR group.  Called up front,
+        so that a verdict that stops early, or a certified one, raises
+        exactly as a full sweep does.  Strong-BPJR runs no knapsack, so
+        its groups are not read here."""
+        if family == "strong-bpjr":
+            return
+        for size in self._oversized:
+            if family == "local-bpjr" or (family == "bpjr" and reaches(size, self.n, denom, 1.0)):
+                raise TooLargeForExact(f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items")
+
+    def certified(self, selection: tuple[int, float], axiom: AxiomId) -> bool:
+        """True if a per-voter bound shows that no group violates a
+        BPJR-family axiom, so that :meth:`report` would find the selection
+        satisfied; False settles nothing.  Admits the axiom and refuses
+        oversized common items first, as :meth:`report` does.
+
+        A voter's represented weight ``r = weights[ballot & selected]`` is
+        at most that of any group holding the voter: a fold of positive
+        costs only grows as items join it.  A group of ``k`` voters that
+        shares item ``c`` lies among ``c``'s approvers, so its represented
+        weight is at least the ``k``-th smallest ``r`` among them.  Its
+        level and cap are at most ``share = k * denom / n``, the float
+        :meth:`claims` forms, and its room is at most ``share - r``; each of
+        its common items costs at least the cheapest item.  ``falls_short``
+        and ``fits`` are monotone, so no group violates Strong-BPJR if no
+        such ``r`` falls short of its share, BPJR if none falls short of
+        the :func:`_bundle_ceiling` of its cap, and Local-BPJR if the
+        cheapest item fits in no ``share - r``.
+
+        The test reads no group, and costs a sort of each item's
+        approvers: :func:`check_axiom` runs it for its one selection, and
+        :meth:`holds`, whose callers share one sweep among many
+        selections, does not.
+        """
+        self._admit(axiom)
+        family = axiom.family
+        selected, total = selection
+        denom = self.inst.limit if axiom.variant == "l" else total
+        if family in _BJR_FAMILIES or denom <= TOL:
+            return False  # the stream reads no group here either
+        self._refuse(family, denom)
+        n, weights = self.n, self.weights
+        represented = [weights[ballot & selected] for ballot in self.ballots]
+        cheapest = min(self.inst.cost)
+        for approvers in self.approvers:
+            for k, r in enumerate(sorted(represented[v] for v in bits(approvers)), 1):
+                share = k * denom / n
+                if family == "strong-bpjr":
+                    owed = falls_short(r, share)
+                elif family == "bpjr":
+                    owed = falls_short(r, _bundle_ceiling(min(share, denom)))
+                else:
+                    owed = fits(cheapest, share - r)
+                if owed:
+                    return False
+        return True
+
     def _violations(self, selection: tuple[int, float], axiom: AxiomId, verdict_only: bool) -> Iterator[tuple]:
         """The one source of violations for all ten axioms, as ``(deficit,
         voters, (level, common, bundle, represented, required))`` with masks
@@ -434,13 +504,7 @@ class _GroupTable:
                 yield 1.0, voters, (1.0, common, 1 << item, 0.0, 1.0)
             return
 
-        # A full sweep hands the knapsack the common items of every BPJR
-        # group reaching level 1 and of every Local-BPJR group; refuse up
-        # front, so a verdict that stops early raises exactly as it does.
-        for size in self._oversized:
-            if family == "local-bpjr" or (family == "bpjr" and reaches(size, n, denom, 1.0)):
-                raise TooLargeForExact(f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items")
-
+        self._refuse(family, denom)
         if family == "strong-bpjr":
             # the claimable levels form an interval; test its top
             for voters, common, union, level, _, _ in self.claims(axiom.variant, denom, verdict_only):
@@ -539,8 +603,14 @@ def check_local_bpjr(
 def check_axiom(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> AxiomReport:
     """The report of any of the ten axioms, which every ``check_*``
     function returns: the profile is checked first, then the budget is
-    admitted, then the size caps apply."""
-    return _GroupTable(inst, profile).report(_selection(inst, budget), axiom)
+    admitted, then the size caps apply.  A BPJR-family report that
+    :meth:`_GroupTable.certified` settles is returned satisfied without
+    building the cohesive groups."""
+    table = _GroupTable(inst, profile)
+    selection = _selection(inst, budget)
+    if table.certified(selection, axiom):
+        return AxiomReport(axiom, True, None, BRUTE_FORCE)
+    return table.report(selection, axiom)
 
 
 def evaluate_axioms(inst: Instance, profile: Profile, budget: Budget) -> dict[AxiomId, bool]:

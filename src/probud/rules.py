@@ -456,8 +456,11 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
     the doubling drops every bundle whose supporters are too few for any
     level its weight can reach, and with it every bundle built from it.
     The levels chain every feasible weight, those of dropped bundles too,
-    so they come from a doubling of the subset sums alone, and only the
-    levels near a kept bundle's weight are visited.  Exponential in the
+    so they come from a doubling of the subset sums alone, kept sorted as
+    they are doubled.  Only the levels near a kept bundle's weight are
+    visited, and only those are chained, from the nearest sum below them
+    that is a level whatever the sums before it: the first level, or a sum
+    more than ``TOL`` above the one before it.  Exponential in the
     number of items (hard cap ``MAX_CONSTRUCT_ITEMS``): the sums are still
     2^m at worst.
     """
@@ -474,15 +477,13 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
 
     # Every feasible weight, doubled item by item: a subset's items join in
     # ascending index order, so its weight is the float Instance.weight
-    # gives.  The levels chain these weights, every one of them.
+    # gives.  Sorted after each step: rounding is monotone, so the copies
+    # with the item added are ascending too, and the sort merges two runs.
     sums = [0.0]
     for cost in inst.cost:
         sums += [s + cost for s in sums if s + cost <= limit]
-    sums.sort()
-    levels: list[float] = []
-    for w in sums[bisect_left(sums, 1.0 - TOL):]:
-        if not levels or w - levels[-1] > TOL:
-            levels.append(w)
+        sums.sort()
+    start = bisect_left(sums, 1.0 - TOL)
 
     # The bundles that may qualify, with their supporters, doubled alike.
     # A bundle in a level's window weighs at most level + TOL, rounded, so
@@ -503,16 +504,28 @@ def bpjr_construct(inst: Instance, profile: Profile) -> Budget:
         ]
     bundles.sort()
     weights = [w for w, _, _ in bundles]
-    # the levels whose window may hold a kept bundle: a window spans TOL
-    # either side of its level, so the level lies within 2 TOL of the weight
-    visit: set[int] = set()
+    # The levels whose window may hold a kept bundle: a window spans TOL
+    # either side of its level, so the level lies within 2 TOL of the
+    # weight.  The levels chain the sums from sums[start] on, each the first
+    # sum more than TOL above the last level, so a sum more than TOL above
+    # the sum before it is always a level: the chain near a weight is
+    # walked from the last such sum below it, or from sums[start].
+    visit: set[float] = set()
     for w in weights:
-        visit.update(range(bisect_left(levels, w - 2 * TOL), bisect_right(levels, w + 2 * TOL)))
+        low, high = w - 2 * TOL, w + 2 * TOL
+        j = max(bisect_left(sums, low), start)
+        while start < j < len(sums) and sums[j] - sums[j - 1] <= TOL:
+            j -= 1
+        while j < len(sums) and sums[j] <= high:
+            level = sums[j]
+            if level >= low:
+                visit.add(level)
+            j = bisect_right(sums, TOL, j, key=lambda x: x - level)
 
     active = (1 << n) - 1  # voters not yet served, as a bitmask
     selected_mask = 0
     cost_of = MaskFold(inst.cost, add, 0.0)
-    for level in [levels[i] for i in sorted(visit, reverse=True)]:
+    for level in sorted(visit, reverse=True):
         window = bundles[bisect_left(weights, level - TOL):bisect_right(weights, level + TOL)]
         threshold = level * n / inst.limit - TOL
         while cost_of[selected_mask] + level <= limit:

@@ -762,6 +762,94 @@ def test_bpjr_family_reports_match_the_reference_at_tolerance_boundaries():
     assert violations > 3000
 
 
+def test_certified_checks_equal_the_uncertified_report_at_tolerance_boundaries():
+    # check_axiom settles some BPJR-family checks with a per-voter bound
+    # before any group is read; the sweep's own report must be the same,
+    # and the reference must find no violation wherever the bound answers
+    from probud._bits import mask_of
+    from probud.axioms import _GroupTable
+
+    certified = {axiom: 0 for axiom in BPJR_AXIOMS}
+    for seed in BOUNDARY_SEEDS:
+        inst, profile, budget = boundary_instance(seed)
+        selection = (mask_of(budget.selected), budget.total_cost)
+        for axiom in BPJR_AXIOMS:
+            report = _GroupTable(inst, profile).report(selection, axiom)
+            assert check_axiom(inst, profile, budget, axiom) == report, f"seed {seed} axiom {axiom}"
+            if _GroupTable(inst, profile).certified(selection, axiom):
+                assert reference_bpjr_report(inst, profile, budget, axiom).satisfied, f"seed {seed} axiom {axiom}"
+                certified[axiom] += 1
+    assert min(certified.values()) > 100, certified
+
+
+def _fully_represented():
+    # four voters approve the selected pair a, b; a fifth approves nothing,
+    # so no group's share reaches the weight 2 that represents it
+    inst = Instance(("a", "b", "c"), (1.0, 1.0, 1.0), 2.0)
+    return inst, Profile.of([{0, 1}] * 4 + [set()]), Budget.of(inst, [0, 1])
+
+
+def _wide_fully_represented():
+    # voters 1 and 2 share 26 selected items, one more than the knapsack
+    # takes; voter 0 approves nothing
+    inst = Instance(tuple(f"c{j}" for j in range(28)), (1.0,) * 28, 26.0)
+    profile = Profile((frozenset(), frozenset(range(26)), frozenset(range(26))))
+    return inst, profile, Budget.of(inst, range(26))
+
+
+def test_a_certified_check_builds_no_groups(monkeypatch):
+    import probud.axioms
+
+    def no_sweep(masks):
+        raise AssertionError("the cohesive groups were built")
+
+    inst, profile, budget = _fully_represented()
+    monkeypatch.setattr(probud.axioms, "_cohesive_groups", no_sweep)
+    for axiom in BPJR_AXIOMS:
+        assert check_axiom(inst, profile, budget, axiom) == probud.axioms.AxiomReport(
+            axiom, True, None, probud.axioms.BRUTE_FORCE
+        )
+    with pytest.raises(AssertionError, match="groups were built"):
+        evaluate_axioms(inst, profile, budget)  # verdicts take no certificate
+    # past 25 items too, where only BPJR and Local-BPJR refuse wide groups
+    inst, profile, budget = _wide_fully_represented()
+    for variant in ("l", "w"):
+        assert check_axiom(inst, profile, budget, AxiomId("strong-bpjr", variant)).satisfied
+
+
+@pytest.mark.parametrize("family", ["strong-bpjr", "bpjr", "local-bpjr"])
+@pytest.mark.parametrize("variant", ["l", "w"])
+def test_a_certifiable_check_is_admitted_as_before(family, variant):
+    # the certificate would settle each of these, yet the voter cap, the
+    # axiom's type and the oversized common items are refused first
+    inst = Instance(("a", "b", "c"), (1.0, 1.0, 1.0), 2.0)
+    crowd = Profile.of([{0, 1}] * (MAX_EXACT_VOTERS + 8))
+    with pytest.raises(TooLargeForExact, match="voters"):
+        check_axiom(inst, crowd, Budget.of(inst, [0, 1]), AxiomId(family, variant))
+    inst, profile, budget = _fully_represented()
+    with pytest.raises(InvalidChoice):
+        check_axiom(inst, profile, budget, f"{family}-{variant}")
+    wide, profile, budget = _wide_fully_represented()
+    if family == "strong-bpjr":
+        assert check_axiom(wide, profile, budget, AxiomId(family, variant)).satisfied
+    else:
+        with pytest.raises(TooLargeForExact, match="common-item set"):
+            check_axiom(wide, profile, budget, AxiomId(family, variant))
+
+
+def test_the_local_bpjr_certificate_reads_the_cheapest_cost():
+    # Normalization leaves the cheapest cost within TOL of 1, here below it:
+    # the item fits the lone voter's room though a cost of 1.0 would not
+    inst = Instance(("a",), (1.0 - 0.5 * TOL,), 1.0 - 1.2 * TOL)
+    profile = Profile.of([{0}])
+    budget = Budget.of(inst, [])
+    axiom = AxiomId("local-bpjr", "l")
+    report = check_axiom(inst, profile, budget, axiom)
+    assert not report.satisfied
+    assert report == reference_bpjr_report(inst, profile, budget, axiom)
+    assert recheck_witness(inst, profile, budget, report)
+
+
 def test_a_shared_group_table_answers_as_fresh_calls_in_any_budget_order():
     # one table holds the claims of its latest denominator per variant and
     # mode; fed every feasible budget in shuffled order, so that "w" totals

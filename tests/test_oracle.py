@@ -7,7 +7,7 @@ from operator import add
 import pytest
 from hypothesis import given, strategies as st
 
-from probud._bits import feasible_blocks, subsets_within
+from probud._bits import MaskFold, feasible_blocks, subsets_within
 from probud.errors import TooLargeForExact
 from probud.harness import GenSpec, generate
 from probud.model import TOL, AxiomId, Budget, Instance, fit_bound, is_exhaustive, is_feasible, normalize
@@ -86,6 +86,19 @@ def test_the_walks_blocks_flatten_to_the_feasible_subsets(inst):
             else:
                 masks += [step[0] | r << start for r in step[1]]
         assert masks == [mask for mask, _, exhaustive in walk if exhaustive or not exhaustive_only]
+
+
+@pytest.mark.parametrize("op, start", [(add, 0.0), (min, math.inf)], ids=["add", "min"])
+def test_a_mask_fold_equals_a_fresh_fold_in_any_query_order(op, start):
+    # a miss extends the longest memoized mask that is it less some top
+    # bits, so the order of the queries decides which prefixes it reuses
+    rng = random.Random(17)
+    for _ in range(40):
+        costs = [rng.uniform(1.0, 5.0) for _ in range(rng.randint(1, 14))]
+        memo = MaskFold(costs, op, start)
+        masks = [rng.getrandbits(len(costs)) for _ in range(60)]
+        for mask in masks + rng.sample(masks, len(masks)):
+            assert memo[mask] == reduce(op, (costs[i] for i in range(len(costs)) if mask >> i & 1), start)
 
 
 def test_exhaustive_budgets_at_tolerance_boundaries_admit_no_further_item():

@@ -752,6 +752,32 @@ def test_bpjr_construct_matches_the_reference_on_tolerance_chained_costs(costs, 
     assert sorted(budget.selected) == expected
 
 
+@pytest.mark.parametrize(
+    "costs, limit, ballots, expected",
+    [
+        # the pair sums from 2 + 0.6e-9 to 2 + 3.6e-9 sit 0.6e-9 apart, so
+        # the levels 2 + 0.6e-9, 2 + 1.8e-9 and 2 + 3.0e-9 chain inside one
+        # run; the level near {0, 4} is found from the run's first sum
+        ((1.0, 1.0000000006, 1.0000000012, 1.0000000024, 1.0000000036, 1.0000000042), 2.000000003,
+         [{0, 1, 3, 4}], [0, 3]),
+        # a run from 2.0 to 2 + 4.2e-9 holds four levels; the walk back
+        # from the bundle {3, 4} crosses five sums to reach 2.0
+        ((1.0, 1.0000000006, 1.0000000012, 1.0000000018, 1.0000000024, 2.0), 2.0000000048,
+         [{0, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 5}], [2, 3]),
+    ],
+    ids=["run-of-pairs", "run-from-two"],
+)
+def test_bpjr_construct_chains_levels_back_through_a_dense_run(costs, limit, ballots, expected):
+    # the levels near a kept bundle are chained from the last sum more than
+    # TOL above the one before it; a chain started nearer the bundle, at a
+    # sum that is not a level, visits levels that do not exist
+    inst = Instance(tuple(f"c{i}" for i in range(len(costs))), costs, limit)
+    profile = Profile.of(ballots)
+    budget = bpjr_construct(inst, profile)
+    assert budget == reference_bpjr_construct(inst, profile)
+    assert sorted(budget.selected) == expected
+
+
 def test_bpjr_construct_matches_the_reference_on_seeded_instances():
     # Each generated instance, then again with its costs and limit snapped
     # to halves and its costs raised by a few tenths of TOL, so that many
