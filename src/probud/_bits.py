@@ -4,24 +4,28 @@ The walk of :func:`feasible_blocks` serves the callers that need every
 feasible subset in lexicographic order, or need to know which ones are
 exhaustive.  It splits the items in two, as a meet-in-the-middle does:
 subsets of the *head* are walked one at a time, and each is joined with
-every subset of the *tail*, its *block*, by list operations over a table
-built once per call.  The CLI's ``enumerate`` reads the blocks; budget
-enumeration, ``certify`` and ``verify-implications`` read the same walk
-with no tail, one ``(mask, total, exhaustive)`` per subset
-(:func:`subsets_within`).  Tables of subsets whose
-order does not matter (the constructive BPJR-L rule's bundles and subset
-sums, the knapsack's halves) are doubled item by item where they are
-built.  Subset totals are added left to right in ascending item order
-here, as in ``Instance.weight`` and in those doublings, so the same
-items always give the same float.
+every subset of the *tail*, its *block*.  A block is read off one table
+of the tail subsets' own sums, sorted once per call: the tail subsets
+that fit are those before the position where the head subset's room
+cuts the table, so head subsets of different totals share a block.  The
+CLI's ``enumerate`` reads the blocks; budget enumeration, ``certify``
+and ``verify-implications`` read the same walk with no tail, one
+``(mask, total, exhaustive)`` per subset (:func:`subsets_within`).
+Tables of subsets whose order does not matter (the constructive BPJR-L
+rule's bundles and subset sums, the knapsack's halves) are doubled item
+by item where they are built.  Subset totals are added left to right in
+ascending item order here, as in ``Instance.weight`` and in those
+doublings, so the same items always give the same float; the sorted
+table only decides which totals need that fold (:meth:`_Tail._cut`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cache, reduce
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress
 from math import inf
-from operator import add, itemgetter, le
+from operator import add, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 #: The most and the fewest items the walk's tail takes, so that a block
@@ -84,15 +88,23 @@ def _tail_start(costs: Sequence[float], bound: float) -> int:
 class _Tail:
     """The tail template, from which each block is computed: the tail
     items, the nonempty tail subsets ``T`` as relative masks ``r`` (bit
-    ``j`` is the ``j``-th tail item) in lex order, and the costs of each
-    ``T``'s items.  A block is held by relative mask, as its totals and as
-    one flag byte per entry, so that it is compared, combined and read in
-    lex order by calls that loop in C.
+    ``j`` is the ``j``-th tail item) in lex order, and each ``T``'s own
+    sum ``s_T``, folded from ``0.0`` and sorted once per call, the tail's
+    half-list in Horowitz and Sahni's meet in the middle (JACM 1974).  A
+    block is held by relative mask, as one flag byte per entry, so that
+    it is combined and read in lex order by calls that loop in C.
 
-    Each block method takes the head subset's total and the lightest
-    total of it plus one head item outside it, and keeps every block it
-    cuts at the bound by the totals that decide it: head subsets of equal
-    totals, as unit or round costs give many of, share one.
+    A block keeps the ``T`` whose fold from its head subset's total ``t``
+    fits the bound, and that fold is within a margin of ``t + s_T``
+    (:meth:`_cut`).  So the ``T`` that fit are those before a *position*
+    in the sorted sums, but for the few inside the margin, which are
+    folded exactly.  Each block method takes the head subset's total and
+    the lightest total of it plus one head item outside it, and keeps
+    every block it cuts at the bound by the positions that decide it, so
+    that head subsets of different totals share it, and by those totals,
+    so that a repeated total, as unit costs give many of, skips the cut.
+    The two memos are separate dicts, since a float total may equal an
+    int position.
     """
 
     def __init__(self, costs: Sequence[float], bound: float):
@@ -101,33 +113,77 @@ class _Tail:
         self.lex, self.grows = _lex_masks(len(costs)), _grows(len(costs))
         # a nonempty tail has at least two items, so this returns a tuple
         self.in_lex = itemgetter(*self.lex) if self.lex else None
-        self.items = [()]
+        sums = [0.0]
         for c in self.costs:
-            self.items += [items + (c,) for items in self.items]
-        self.blocks: dict = {}
+            sums += [s + c for s in sums]
+        # order[p] is the relative mask at position p of the sorted sums,
+        # and prefixes[p] flags the masks before it, one byte per mask
+        self.order = sorted(range(len(sums)), key=sums.__getitem__)
+        self.sums = [sums[r] for r in self.order]
+        self.prefixes = list(accumulate((1 << 8 * r for r in self.order), or_, initial=0))
+        self.span = bound + sums[-1]
+        self.by_total: dict = {}
+        self.by_position: dict = {}
 
     def fold(self, total: float) -> float:
         """``total`` plus every tail item: the heaviest entry of a block."""
         return reduce(add, self.costs, total)
 
-    def sums(self, total: float) -> list[float]:
-        """Every ``total + T`` by relative mask, doubled item by item, so
-        each is folded in ascending item order along ``T``'s parent chain
-        (``T`` without its largest), as the walk folds a head subset."""
-        sums = [total]
-        for c in self.costs:
-            sums += [s + c for s in sums]
-        return sums
+    def _cut(self, total: float) -> tuple[int, int]:
+        """Positions ``lo <= hi`` in the sorted sums such that every ``T``
+        before ``lo`` fits ``total`` and none from ``hi`` on.
+
+        The cut compares ``s_T`` with ``bound - t`` less or plus the
+        margin ``M = 2^-44 (t + bound + S)``, for the total ``t`` and the
+        tail's own total ``S``.  It is safe (barring underflow).  With
+        ``u = 2^-53``, a left fold of ``j <= _TAIL_CAP = 8`` positive terms
+        after its start is within ``γ_j < 8.01u`` times the exact sum of
+        that sum (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, 2nd ed., section 4.2).  So ``fold(t, T)`` is within
+        ``8.01u (t + Σ_T)`` of the exact ``t + Σ_T``, and ``s_T``, whose
+        first step is exact, within ``7.01u Σ_T`` of ``Σ_T``, where ``Σ_T
+        < 1.001 S``: together, ``|fold(t, T) - (t + s_T)| < 2^-49 (t +
+        S)``.  For ``0 <= t <= bound``, the two thresholds ``fl(fl(bound -
+        t) ∓ M)``, with ``M`` itself within a relative ``2u``, lie within
+        ``2.01u·bound + 3.01u·M`` of ``bound - t ∓ M``.  So ``s_T`` at or
+        below the lower one gives ``fold(t, T) < bound - (1 - 3.01u) M +
+        2.01u·bound + 2^-49 (t + S) < bound``, and above the upper one
+        gives ``fold(t, T) > bound``.  A total past the bound fits
+        nothing, not even the empty ``T``: that also covers an infinite
+        ``lightest``.
+        """
+        bound = self.bound
+        if total > bound:
+            return 0, 0
+        room, margin = bound - total, (total + self.span) * 2.0 ** -44
+        return bisect_right(self.sums, room - margin), bisect_right(self.sums, room + margin)
+
+    def _fits(self, total: float, lo: int, hi: int) -> int:
+        """Whether ``total + T`` fits, as one flag byte per relative mask
+        of a little-endian int, from ``total``'s cut: the ``T`` between
+        ``lo`` and ``hi`` are folded exactly, in ascending item order."""
+        flags, costs = self.prefixes[lo], self.costs
+        for r in self.order[lo:hi]:
+            flags |= (reduce(add, map(costs.__getitem__, bits(r)), total) <= self.bound) << 8 * r
+        return flags
+
+    def _read(self, flags: int) -> list[int]:
+        """The relative masks whose flag is set, in lex order."""
+        return list(compress(self.lex, self.in_lex(flags.to_bytes(1 << len(self.costs), "little"))))
 
     def fitting(self, total: float, lightest: float) -> Sequence[int]:
         """The nonempty ``T`` with ``total + T`` feasible, in lex order."""
-        bound = self.bound
-        if self.fold(total) <= bound:
+        if self.fold(total) <= self.bound:
             return self.lex
-        kept = self.blocks.get(total)
+        kept = self.by_total.get(total)
         if kept is None:
-            sums = self.in_lex(self.sums(total))
-            kept = self.blocks[total] = list(compress(self.lex, map(le, sums, repeat(bound))))
+            lo, hi = self._cut(total)
+            kept = self.by_position.get(lo) if lo == hi else None
+            if kept is None:
+                kept = self._read(self._fits(total, lo, hi))
+                if lo == hi:
+                    self.by_position[lo] = kept
+            self.by_total[total] = kept
         return kept
 
     def exhaustive(self, total: float, lightest: float) -> Sequence[int]:
@@ -138,23 +194,27 @@ class _Tail:
         ``lightest``, so with ``T`` at least ``lightest + T``: rounded sums
         are monotone in either operand.  So no ``T`` is exhaustive if
         ``lightest`` plus the whole tail fits, and only the whole tail is
-        if it fits ``total``."""
+        if it fits ``total``; otherwise the ``T`` that fit ``lightest``
+        are a second flag table, cut as the first."""
         bound = self.bound
         if self.fold(lightest) <= bound:
             return ()
         if self.fold(total) <= bound:
             return ((1 << len(self.costs)) - 1,)
-        kept = self.blocks.get((total, lightest))
+        kept = self.by_total.get((total, lightest))
         if kept is None:
-            fits = bytes(map(le, self.sums(total), repeat(bound)))
-            fit, grown = int.from_bytes(fits, "little"), 0
-            for shift, without in self.grows:
-                grown |= fit >> shift & without
-            maximal = (fit & ~grown).to_bytes(len(fits), "little")
-            items = self.items
-            kept = self.blocks[total, lightest] = [
-                r for r in compress(self.lex, self.in_lex(maximal)) if reduce(add, items[r], lightest) > bound
-            ]
+            lo, hi = self._cut(total)
+            light_lo, light_hi = self._cut(lightest)
+            shared = lo == hi and light_lo == light_hi
+            kept = self.by_position.get((lo, light_lo)) if shared else None
+            if kept is None:
+                fit, grown = self._fits(total, lo, hi), 0
+                for shift, without in self.grows:
+                    grown |= fit >> shift & without
+                kept = self._read(fit & ~grown & ~self._fits(lightest, light_lo, light_hi))
+                if shared:
+                    self.by_position[lo, light_lo] = kept
+            self.by_total[total, lightest] = kept
         return kept
 
 

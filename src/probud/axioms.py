@@ -60,8 +60,9 @@ Entitlement conventions, shared by every checker:
 * the level ``ell`` ranges over the real interval from 1 up to the
   variant's denominator (the limit for "l", the realized spend for "w");
 * a group of ``k`` voters can claim levels up to ``k * denominator / n``;
-* after cost normalization every item costs at least 1, so a nonempty
-  common-item set always weighs at least 1.
+* cost normalization holds the cheapest item within ``TOL`` of 1
+  (``model.is_unit``), so a nonempty common-item set weighs at least
+  ``1 - TOL``, not always 1.
 
 Violation conditions are piecewise-constant in ``ell`` between achievable
 bundle weights, so the sweeps evaluate only critical levels.  Checkers are
@@ -320,6 +321,15 @@ class _GroupTable:
         return [len(voters) for voters, common, _ in self.groups
                 if common.bit_count() > MAX_EXACT_BUNDLE_ITEMS]
 
+    @cached_property
+    def _wide_ballot(self) -> bool:
+        # some entry has too many common items for the knapsack: a lone
+        # voter is an entry, and every entry's common items lie in each
+        # member's ballot, so no sweep is needed
+        return self.inst.num_items > MAX_EXACT_BUNDLE_ITEMS and any(
+            ballot.bit_count() > MAX_EXACT_BUNDLE_ITEMS for ballot in self.ballots
+        )
+
     def heaviest(self, mask: int, cap: float) -> tuple[float, int]:
         """Heaviest sub-bundle of the items in ``mask`` fitting under
         ``cap``, as ``(weight, bundle_mask)``."""
@@ -418,12 +428,14 @@ class _GroupTable:
         reaching level 1 and of every Local-BPJR group.  Called up front,
         so that a verdict that stops early, or a certified one, raises
         exactly as a full sweep does.  Strong-BPJR runs no knapsack, so
-        its groups are not read here."""
-        if family == "strong-bpjr":
-            return
-        for size in self._oversized:
-            if family == "local-bpjr" or (family == "bpjr" and reaches(size, self.n, denom, 1.0)):
-                raise TooLargeForExact(f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items")
+        its groups are not read here, and Local-BPJR, which counts every
+        group, reads the ballots alone."""
+        if family == "local-bpjr":
+            oversized = self._wide_ballot
+        else:
+            oversized = family == "bpjr" and any(reaches(size, self.n, denom, 1.0) for size in self._oversized)
+        if oversized:
+            raise TooLargeForExact(f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items")
 
     def certified(self, selection: tuple[int, float], axiom: AxiomId) -> bool:
         """True if a per-voter bound shows that no group violates a
@@ -548,8 +560,9 @@ def check_bjr_poly(inst: Instance, profile: Profile, budget: Budget, axiom: Axio
 
     A violation is a group of wholly unrepresented voters, at least
     ``n / denominator`` strong, sharing a candidate item: any item for the
-    strong family (normalization makes every shared item weigh at least
-    one unit), an item of cost exactly 1 for plain BJR.
+    strong family (normalization leaves every item costing at least the
+    cheapest, which is one unit within ``TOL``, as ``model.is_unit``
+    tests), a unit-cost item by that test for plain BJR.
     """
     if not isinstance(axiom, AxiomId) or axiom.family not in _BJR_FAMILIES:
         raise InvalidChoice(f"check_bjr_poly handles {_BJR_FAMILIES}, got {axiom!r}")

@@ -837,6 +837,33 @@ def test_a_certifiable_check_is_admitted_as_before(family, variant):
             check_axiom(wide, profile, budget, AxiomId(family, variant))
 
 
+@pytest.mark.parametrize("variant", ["l", "w"])
+def test_local_bpjr_refuses_a_wide_ballot_without_a_sweep(monkeypatch, variant):
+    # 26 unit items, three voters approving all of them and one empty
+    # ballot: a lone voter's common items are its ballot, so Local-BPJR
+    # refuses from the ballots alone, while BPJR, which counts only the
+    # groups reaching level 1, still reads the sweep's group sizes
+    import probud.axioms
+
+    sweeps = []
+
+    def counted(masks):
+        sweeps.append(masks)
+        return sweep(masks)
+
+    sweep = probud.axioms._cohesive_groups
+    monkeypatch.setattr(probud.axioms, "_cohesive_groups", counted)
+    m = MAX_EXACT_BUNDLE_ITEMS + 1
+    inst = Instance(tuple(f"c{j}" for j in range(m)), (1.0,) * m, float(m))
+    profile = Profile((frozenset(),) + (frozenset(range(m)),) * 3)
+    budget = Budget.of(inst, range(m))
+    for family, calls in (("local-bpjr", 0), ("bpjr", 1)):
+        sweeps.clear()
+        with pytest.raises(TooLargeForExact, match=f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items"):
+            check_axiom(inst, profile, budget, AxiomId(family, variant))
+        assert len(sweeps) == calls, family
+
+
 def test_the_local_bpjr_certificate_reads_the_cheapest_cost():
     # Normalization leaves the cheapest cost within TOL of 1, here below it:
     # the item fits the lone voter's room though a cost of 1.0 would not

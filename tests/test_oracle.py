@@ -7,7 +7,7 @@ from operator import add
 import pytest
 from hypothesis import given, strategies as st
 
-from probud._bits import MaskFold, feasible_blocks, subsets_within
+from probud._bits import MaskFold, _lex_masks, _Tail, feasible_blocks, subsets_within
 from probud.errors import TooLargeForExact
 from probud.harness import GenSpec, generate
 from probud.model import TOL, AxiomId, Budget, Instance, fit_bound, is_exhaustive, is_feasible, normalize
@@ -72,8 +72,7 @@ def test_exhaustive_enumeration_agrees_with_is_exhaustive(inst):
     ]
 
 
-@given(_instances_on_the_bound())
-def test_the_walks_blocks_flatten_to_the_feasible_subsets(inst):
+def _assert_the_blocks_flatten_to_the_feasible_subsets(inst):
     # the CLI's enumerate reads the walk as head subsets and blocks of tail
     # subsets; joined back, they are the flat view's subsets, in its order
     walk = list(subsets_within(inst.cost, fit_bound(inst.limit)))
@@ -86,6 +85,112 @@ def test_the_walks_blocks_flatten_to_the_feasible_subsets(inst):
             else:
                 masks += [step[0] | r << start for r in step[1]]
         assert masks == [mask for mask, _, exhaustive in walk if exhaustive or not exhaustive_only]
+
+
+@given(_instances_on_the_bound())
+def test_the_walks_blocks_flatten_to_the_feasible_subsets(inst):
+    _assert_the_blocks_flatten_to_the_feasible_subsets(inst)
+
+
+def _doubled_blocks(costs, bound, total, lightest):
+    """A block as the walk computed it before its sorted table of tail
+    sums: every ``total + T`` doubled item by item from ``total``.  Returns
+    the ``T`` that fit, and those that fit with no further tail item and
+    not with ``lightest``, in lex order."""
+
+    def fit(start):
+        sums = [start]
+        for c in costs:
+            sums += [s + c for s in sums]
+        return [s <= bound for s in sums]
+
+    fits, light = fit(total), fit(lightest)
+    fitting = [r for r in _lex_masks(len(costs)) if fits[r]]
+    exhaustive = [
+        r for r in fitting
+        if not light[r] and not any(fits[r | 1 << y] for y in range(len(costs)) if not r >> y & 1)
+    ]
+    return fitting, exhaustive
+
+
+def test_tail_blocks_equal_the_doubled_blocks_near_the_bound(monkeypatch):
+    # a block is read off one sorted table of tail sums, cut at the bound
+    # less the head total within a margin, and only the tail subsets inside
+    # the margin are folded: bounds and totals that put some total + T 0-3
+    # ulps or TOL off the bound must still give the doubled blocks
+    near_cuts = []
+    cut = _Tail._cut
+
+    def spy(tail, total):
+        lo, hi = cut(tail, total)
+        near_cuts.append(lo < hi)
+        return lo, hi
+
+    monkeypatch.setattr(_Tail, "_cut", spy)
+    rng = random.Random(21)
+
+    def nudged(x):
+        if rng.random() < 0.3:
+            return x + rng.choice((-TOL, TOL))
+        toward = rng.choice((math.inf, -math.inf))
+        for _ in range(rng.randint(0, 3)):
+            x = math.nextafter(x, toward)
+        return x
+
+    for _ in range(200):
+        costs = [
+            rng.choice((float(rng.randint(1, 4)), rng.uniform(1.0, 10.0), 10 ** rng.uniform(0.0, 6.0)))
+            for _ in range(rng.randint(3, 8))
+        ]
+        sums = [0.0]
+        for c in costs:
+            sums += [s + c for s in sums]
+        head = reduce(add, [10 ** rng.uniform(0.0, 6.0) for _ in range(rng.randint(0, 3))], 0.0)
+        bound = max(nudged(head + rng.choice(sums)), 0.0)
+        tail = _Tail(costs, bound)
+        for _ in range(12):
+            total = max(nudged(bound - rng.choice(sums)), 0.0)
+            edge = nudged(bound - rng.choice(sums))
+            lightest = max(total, rng.choice((math.inf, edge, total + rng.choice(costs))))
+            blocks = list(tail.fitting(total, lightest)), list(tail.exhaustive(total, lightest))
+            assert blocks == _doubled_blocks(costs, bound, total, lightest), (costs, bound, total, lightest)
+    assert any(near_cuts) and not all(near_cuts)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+def test_a_total_and_a_position_of_equal_value_keep_their_own_blocks(order):
+    # five unit items before a tail of costs 1, 2 and 4, under a limit of 7:
+    # head total 3.0 cuts the sorted tail sums at position 5 and head total
+    # 5.0 at position 3, so one memo for both would hand a total the block
+    # of the position that equals it
+    inst = Instance(tuple(f"c{j}" for j in range(8)), (1.0,) * 6 + (2.0, 4.0), 7.0)
+    bound = fit_bound(inst.limit)
+    assert feasible_blocks(inst.cost, bound, False)[0] == 5
+    costs = list(inst.cost[5:])
+    tail = _Tail(costs, bound)
+    for total in [1.0, 2.0, 3.0, 4.0, 5.0][::order]:
+        assert list(tail.fitting(total, math.inf)) == _doubled_blocks(costs, bound, total, math.inf)[0]
+    assert tail.by_total[3.0] != tail.by_position[3]
+    _assert_the_blocks_flatten_to_the_feasible_subsets(inst)
+
+
+def test_a_uniform_instance_builds_at_most_one_fitting_block_per_position(monkeypatch):
+    # 16 uniform costs split off a 5-item tail under more than 1,000
+    # blocks, nearly all of distinct head totals: blocks are shared by the
+    # position at which the sorted tail sums are cut, so at most 2^5 are built
+    inst, _ = generate(GenSpec(num_items=16, num_voters=4, cost_model="uniform", limit_fraction=0.4, seed=3))
+    builds = []
+    fits = _Tail._fits
+
+    def counted(tail, total, lo, hi):
+        builds.append(total)
+        return fits(tail, total, lo, hi)
+
+    monkeypatch.setattr(_Tail, "_fits", counted)
+    start, steps = feasible_blocks(inst.cost, fit_bound(inst.limit), False)
+    blocks = sum(len(step) == 2 for step in steps)
+    assert inst.num_items - start == 5 and blocks > 1000
+    assert 0 < len(builds) <= 2 ** 5
 
 
 @pytest.mark.parametrize("op, start", [(add, 0.0), (min, math.inf)], ids=["add", "min"])
