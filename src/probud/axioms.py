@@ -43,7 +43,13 @@ already settles a BPJR-family check as satisfied
 (:meth:`_GroupTable.certified`): each voter's represented weight bounds
 that of every group holding the voter.  The bound sorts each item's
 approvers once per selection, so it runs for a single selection only;
-verdicts over many selections share one sweep instead.
+verdicts over many selections share one sweep instead.  Where the bound
+settles nothing, :func:`check_axiom` sweeps only the voter subsets below
+which a violation of its one selection can still lie
+(:meth:`_GroupTable.pruned_groups`), and finds the same violations.
+Verdicts (:func:`evaluate_axioms`, ``certify``,
+``verify-implications``), ``replay_witnesses`` and BPJR's refusal of
+oversized common items read the full sweep.
 
 Errors, in this order: an invalid profile raises ``InvalidProfile``; a
 budget that is infeasible, names an unknown item or carries a
@@ -80,7 +86,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ._bits import MaskFold, bits, mask_of
 from .errors import InvalidBudget, InvalidChoice, InvalidCost, InvalidLimit, TooLargeForExact
@@ -219,7 +225,9 @@ def _bundle_ceiling(cap: float) -> float:
     return math.nextafter(fit_bound(cap), math.inf)
 
 
-def _cohesive_groups(masks: Sequence[int]) -> list[tuple[tuple[int, ...], int, int]]:
+def _cohesive_groups(
+    masks: Sequence[int], descend: Callable[[int, int], bool] | None = None
+) -> list[tuple[tuple[int, ...], int, int]]:
     """The voter subsets whose ballots share at least one item, collapsed
     to one ``(voters, common_mask, union_mask)`` entry per distinct
     (common mask, union mask, size).
@@ -233,6 +241,15 @@ def _cohesive_groups(masks: Sequence[int]) -> list[tuple[tuple[int, ...], int, i
     the set ``T | (R - T)`` plus ``|R & T|`` voters of ``S - T`` has the
     key of ``S | R`` and comes earlier, so no key's first subset lies in
     a pruned subtree.
+
+    A third kind is the caller's: a subset whose ``descend(common,
+    union)`` is false is recorded but not expanded.  Where a false
+    predicate stays false for every superset, as for those of
+    :meth:`_GroupTable.pruned_groups`, every subset whose predicate is
+    true is reached as in the full sweep, by the same path and after the
+    same subsets of true predicate, so each key of true predicate keeps
+    its first voter tuple and its place in the order; a key of false
+    predicate may keep a later tuple, or none.
     """
     n = len(masks)
     later = [[(k, masks[k]) for k in range(n - 1, j, -1)] for j in range(n)]
@@ -244,6 +261,8 @@ def _cohesive_groups(masks: Sequence[int]) -> list[tuple[tuple[int, ...], int, i
         if key in first:
             continue
         first[key] = voters
+        if descend is not None and not descend(common, union):
+            continue
         for k, mask in later[voters[-1]]:  # pushed last to first, so popped in order
             shared = common & mask
             if shared:
@@ -283,14 +302,20 @@ class _GroupTable:
         self.weights = MaskFold(inst.cost, add, 0.0)
         self.cheapest = MaskFold(inst.cost, min, math.inf)
         self._bundles: dict[tuple[int, float], tuple[float, int]] = {}
-        # (variant, verdict_only) -> (denominator, claims built, entries
-        # unread, {size: (share, cap, ceiling)})
-        self._claims_held: dict[tuple[str, bool], tuple[float, list[tuple], Iterator, dict]] = {}
+        # (variant, verdict_only) -> (denominator, entries, claims built,
+        # entries unread, {size: (share, cap, ceiling)})
+        self._claims_held: dict[tuple[str, bool], tuple[float, list, list[tuple], Iterator, dict]] = {}
 
     @cached_property
     def ballots(self) -> list[int]:
-        """Each voter's ballot as an item mask, read off the approver masks."""
-        return [mask_of(c for c, voters in enumerate(self.approvers) if voters >> v & 1) for v in range(self.n)]
+        """Each voter's ballot as an item mask, read off the approver masks
+        in one pass over their set bits."""
+        ballots = [0] * self.n
+        for c, voters in enumerate(self.approvers):
+            item = 1 << c
+            for v in bits(voters):
+                ballots[v] |= item
+        return ballots
 
     @cached_property
     def groups(self) -> list[tuple[tuple[int, ...], int, int]]:
@@ -330,6 +355,56 @@ class _GroupTable:
             ballot.bit_count() > MAX_EXACT_BUNDLE_ITEMS for ballot in self.ballots
         )
 
+    def pruned_groups(self, selected: int, family: str) -> list[tuple[tuple[int, ...], int, int]]:
+        """The entries of :attr:`groups` that a BPJR-family report on the
+        one selection ``selected`` can find violating, each with its voter
+        tuple and in its order, from a sweep that expands a voter subset
+        only where its ``descend(common, union)`` leaves room for a
+        violation at the subset or above it.  With ``rep = weights[union &
+        selected]`` and ``W = weights[common]``:
+
+        * Strong-BPJR descends iff ``rep`` falls short of ``W``: an entry's
+          level is at most ``W``.
+        * BPJR descends iff ``rep`` falls short of ``W * (1 + 2**-44)``,
+          which is at least the knapsack's weight of any violating entry.
+          With ``u = 2**-53``, that weight is 0.0 or a rounded pair sum
+          ``s + r`` whose parts are ascending folds of the two halves of
+          one bundle of ``k <= MAX_EXACT_BUNDLE_ITEMS`` common items (a
+          group reaching level 1 with more is refused first).  A fold of
+          ``j`` positive floats lies within a factor ``(1 ± u)**(j - 1)``
+          of their exact sum ``E``, so ``s + r`` rounds to at most ``E *
+          (1 + u)**k``, while ``W``, which folds a superset of the bundle
+          in ascending order, is at least ``E * (1 - u)**(k - 1)``.  The
+          product rounds to at least ``W * (1 + 512u) * (1 - u)``, and
+          ``(1 + u)**25 < (1 + 512u) * (1 - u)**25``.  The bound rests on
+          that ``s + r`` arithmetic, as :func:`_bundle_ceiling` does.
+        * Local-BPJR descends iff ``union & selected`` is a strict subset
+          of ``common``: the stream skips an entry whose represented items
+          leave ``common`` or cover it.
+
+        Adding a voter shrinks ``common`` and grows ``union``, an ascending
+        fold of positive costs does not fall as items join it, and
+        rounding and ``falls_short`` are monotone.  So each predicate that
+        is false for a subset is false for its supersets, and is false
+        for no violating entry: :func:`_cohesive_groups` then keeps every
+        violating entry as the full sweep does.  The predicates read the
+        selection, so these entries serve one report, and only
+        :func:`check_axiom` reads them; every other caller reads
+        :attr:`groups` or :attr:`classes`.
+        """
+        weights = self.weights
+        if family == "strong-bpjr":
+            def descend(common: int, union: int) -> bool:
+                return falls_short(weights[union & selected], weights[common])
+        elif family == "bpjr":
+            def descend(common: int, union: int) -> bool:
+                return falls_short(weights[union & selected], weights[common] * (1 + 2**-44))
+        else:
+            def descend(common: int, union: int) -> bool:
+                represented = union & selected
+                return represented & ~common == 0 and represented != common
+        return _cohesive_groups(self.ballots, descend)
+
     def heaviest(self, mask: int, cap: float) -> tuple[float, int]:
         """Heaviest sub-bundle of the items in ``mask`` fitting under
         ``cap``, as ``(weight, bundle_mask)``."""
@@ -341,10 +416,11 @@ class _GroupTable:
             self._bundles[key] = hit
         return hit
 
-    def claims(self, variant: str, denom: float, verdict_only: bool) -> Iterator[tuple]:
+    def claims(self, variant: str, denom: float, verdict_only: bool, entries: list) -> Iterator[tuple]:
         """The entries that claim level 1 at ``denom``, as ``(voters,
-        common, union, level, cap, ceiling)``: of :attr:`classes` for a
-        verdict, of :attr:`groups` for a report, in entry order.
+        common, union, level, cap, ceiling)``, in entry order: of
+        ``entries``, which are :attr:`classes` for a verdict, and for a
+        report :attr:`groups` or the :meth:`pruned_groups` of one selection.
 
         ``level`` is the top level an entry claims in Strong-BPJR and BPJR
         alike, ``cap`` its BPJR knapsack cap and ``ceiling`` that cap's
@@ -352,18 +428,17 @@ class _GroupTable:
         the ceiling are worked out once per group size.  None of them
         reads the selection, so one list serves every selection with this
         denominator.  Each (variant, mode) slot holds the list of its
-        latest denominator only, and builds it as it is read: a verdict
-        that stops at its first violation builds no further, and the next
-        read goes on from there.  So two reads of one slot must not
+        latest denominator and entries only, and builds it as it is read:
+        a verdict that stops at its first violation builds no further, and
+        the next read goes on from there.  So two reads of one slot must not
         interleave; :meth:`holds` drops its read at the first violation
         and :meth:`report` reads to the end.
         """
         slot = (variant, verdict_only)
         held = self._claims_held.get(slot)
-        if held is None or held[0] != denom:
-            entries = self.classes if verdict_only else self.groups
-            held = self._claims_held[slot] = (denom, [], iter(entries), {})
-        _, claims, unread, by_size = held
+        if held is None or held[0] != denom or held[1] is not entries:
+            held = self._claims_held[slot] = (denom, entries, [], iter(entries), {})
+        _, _, claims, unread, by_size = held
         yield from claims
         weights = self.weights
         for voters, common, union in unread:
@@ -379,15 +454,18 @@ class _GroupTable:
                 claims.append(claim)
                 yield claim
 
-    def report(self, selection: tuple[int, float], axiom: AxiomId) -> AxiomReport:
-        """The checker's report, witness included, for one selection."""
+    def report(self, selection: tuple[int, float], axiom: AxiomId, pruned: bool = False) -> AxiomReport:
+        """The checker's report, witness included, for one selection.  With
+        ``pruned``, the BPJR families read the :meth:`pruned_groups` of this
+        selection rather than :attr:`groups`: the same violations, from a
+        sweep that serves this selection alone."""
         self._admit(axiom)
         # Violations come in increasing voter-tuple order, each holding the
         # smallest tuple of the groups that share its deficit, so keeping the
         # first that beats the best by more than TOL gives a tie to the
         # smaller tuple, as a sweep over every group would.
         best = None
-        for violation in self._violations(selection, axiom, False):
+        for violation in self._violations(selection, axiom, False, pruned):
             if best is None or not fits(violation[0], best[0]):
                 best = violation
         method = POLYNOMIAL if axiom.family in _BJR_FAMILIES else BRUTE_FORCE
@@ -484,13 +562,16 @@ class _GroupTable:
                     return False
         return True
 
-    def _violations(self, selection: tuple[int, float], axiom: AxiomId, verdict_only: bool) -> Iterator[tuple]:
+    def _violations(
+        self, selection: tuple[int, float], axiom: AxiomId, verdict_only: bool, pruned: bool = False
+    ) -> Iterator[tuple]:
         """The one source of violations for all ten axioms, as ``(deficit,
         voters, (level, common, bundle, represented, required))`` with masks
         for the item sets.  BJR yields each item's wholly unrepresented
         approvers, sorted by (voter tuple, item), before any group is read;
         the BPJR families yield violating entries in entry order, of
-        :attr:`groups` for a witness and of :attr:`classes` for a verdict.
+        :attr:`classes` for a verdict, and for a witness of :attr:`groups`,
+        or with ``pruned`` of the :meth:`pruned_groups` of this selection.
         """
         inst, n, weights = self.inst, self.n, self.weights
         family = axiom.family
@@ -517,15 +598,19 @@ class _GroupTable:
             return
 
         self._refuse(family, denom)
+        if verdict_only:
+            entries = self.classes
+        else:
+            entries = self.pruned_groups(selected, family) if pruned else self.groups
         if family == "strong-bpjr":
             # the claimable levels form an interval; test its top
-            for voters, common, union, level, _, _ in self.claims(axiom.variant, denom, verdict_only):
+            for voters, common, union, level, _, _ in self.claims(axiom.variant, denom, verdict_only, entries):
                 represented = weights[union & selected]
                 if falls_short(represented, level):
                     yield level - represented, voters, (level, common, common, represented, level)
         elif family == "bpjr":
             # the bundle maximizer is monotone in the cap; test the top level
-            for voters, common, union, level, cap, ceiling in self.claims(axiom.variant, denom, verdict_only):
+            for voters, common, union, level, cap, ceiling in self.claims(axiom.variant, denom, verdict_only, entries):
                 represented = weights[union & selected]
                 # falls_short is monotone in its second argument and the
                 # knapsack returns at most the ceiling: an entry that covers
@@ -537,7 +622,7 @@ class _GroupTable:
                     yield threshold - represented, voters, (level, common, bundle, represented, threshold)
         else:
             cheapest = self.cheapest
-            for voters, common, union in self.classes if verdict_only else self.groups:
+            for voters, common, union in entries:
                 represented_mask = union & selected
                 if represented_mask & ~common:
                     continue  # no bundle of common items can strictly contain it
@@ -623,7 +708,7 @@ def check_axiom(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId
     selection = _selection(inst, budget)
     if table.certified(selection, axiom):
         return AxiomReport(axiom, True, None, BRUTE_FORCE)
-    return table.report(selection, axiom)
+    return table.report(selection, axiom, pruned=True)
 
 
 def evaluate_axioms(inst: Instance, profile: Profile, budget: Budget) -> dict[AxiomId, bool]:

@@ -782,6 +782,142 @@ def test_certified_checks_equal_the_uncertified_report_at_tolerance_boundaries()
     assert min(certified.values()) > 100, certified
 
 
+def _exact_cell_instances(count):
+    # GenSpec instances shaped like the benchmark's single-budget check
+    # cells: 10-20 voters, 8-16 items, impartial and bloc ballots
+    rng = random.Random(23)
+    for seed in range(count):
+        m, n = rng.randint(8, 16), rng.randint(10, 20)
+        ballots = rng.choice(("impartial", "groups"))
+        yield fitting_instance(
+            rng.uniform(0.25, 0.7),
+            num_items=m,
+            num_voters=n,
+            cost_model=rng.choice(("unit", "uniform", "heavy-tail")),
+            cost_high=rng.uniform(1.5, 5.0),
+            ballot_model=ballots,
+            approval_prob=rng.uniform(0.2, 0.35),
+            group_count=rng.randint(2, 4),
+            group_overlap=rng.uniform(0.0, 0.3),
+            seed=seed,
+        )
+
+
+def test_a_pruned_check_reports_as_the_full_sweep_on_exact_cell_instances():
+    # check_axiom sweeps only the subtrees that can hold a violation for
+    # its one budget; the report must equal the table's full-sweep report
+    from probud._bits import mask_of
+    from probud.axioms import _GroupTable
+
+    rng = random.Random(5)
+    pruned = violated = 0
+    for inst, profile in _exact_cell_instances(250):
+        for _ in range(3):
+            budget = random_feasible_budget(inst, rng)
+            selection = (mask_of(budget.selected), budget.total_cost)
+            table = _GroupTable(inst, profile)
+            for axiom in BPJR_AXIOMS:
+                report = table.report(selection, axiom)
+                assert check_axiom(inst, profile, budget, axiom) == report, (axiom, sorted(budget.selected))
+                pruned += not table.certified(selection, axiom)
+                violated += not report.satisfied
+    assert pruned > 1500 and violated > 500, (pruned, violated)
+
+
+def test_bpjr_finds_a_violation_whose_represented_weight_lies_ulps_under_the_common_weight():
+    # The knapsack weighs {a, b, c} as a + (b + c), one ulp above the
+    # ascending fold (a + b) + c, and the represented weight of the pair
+    # (0, 1) and of all three voters lies between the two less TOL.  The
+    # pair's cap is too small to claim the bundle, all three voters'
+    # is not, and the trio is reached only through the pair: a sweep
+    # that stopped at the pair for want of a margin would call it satisfied.
+    from probud._bits import mask_of
+    from probud.axioms import _GroupTable
+
+    a, b, c = 1.0, 5.401, 1.812
+    inst = Instance(("a", "b", "c", "x"), (a, b, c, 1.811999999), (a + b) + c)
+    profile = Profile.of([{0, 1, 2, 3}, {0, 1, 2}, {0, 1, 2}])
+    budget = Budget.of(inst, [0, 1, 3])
+    assert (a + b) + c < a + (b + c)
+    assert (a + b) + c - TOL <= budget.total_cost < a + (b + c) - TOL
+    axiom = AxiomId("bpjr", "l")
+    report = check_axiom(inst, profile, budget, axiom)
+    assert report.witness.voters == frozenset({0, 1, 2})
+    assert report.witness.required_weight == a + (b + c)
+    assert report == reference_bpjr_report(inst, profile, budget, axiom)
+    selection = (mask_of(budget.selected), budget.total_cost)
+    assert report == _GroupTable(inst, profile).report(selection, axiom)
+    assert check_axiom(inst, profile, budget, AxiomId("strong-bpjr", "l")).satisfied
+
+
+def test_a_sweep_that_always_descends_is_the_full_sweep():
+    from probud.axioms import _GroupTable, _cohesive_groups
+
+    for seed in range(150):
+        inst, profile = suite_instance(seed, max_voters=12)
+        masks = _GroupTable(inst, profile).ballots
+        assert _cohesive_groups(masks, lambda common, union: True) == _cohesive_groups(masks)
+
+
+def test_a_pruned_sweep_records_but_does_not_expand_a_subset_it_stops_at():
+    # ballots {0, 1, 2}, {0, 3}, {0, 1}, {0, 2}, expanded only while two
+    # items are common: (0, 1) is kept but not expanded, so (0, 1, 2) and
+    # (0, 1, 2, 3) go; (0, 1, 3) and (1, 2, 3) share the key of (0, 1, 2)
+    # and are gone either way
+    from probud.axioms import _cohesive_groups
+
+    masks = [0b0111, 0b1001, 0b0011, 0b0101]
+    kept = [(0,), (0, 1), (0, 2), (0, 2, 3), (0, 3), (1,), (1, 2), (1, 3), (2,), (2, 3), (3,)]
+    full = _cohesive_groups(masks)
+    assert [voters for voters, _, _ in full] == kept[:2] + [(0, 1, 2), (0, 1, 2, 3)] + kept[2:]
+    pruned = _cohesive_groups(masks, lambda common, union: common.bit_count() > 1)
+    assert [voters for voters, _, _ in pruned] == kept
+    assert all(entry in full for entry in pruned)
+
+
+def test_the_local_bpjr_sweep_stops_where_represented_items_leave_or_cover_the_common_items():
+    # a, b, c at unit cost, {a} selected; ballots {a}, {a, b}, {a, b},
+    # {b, c}, {b}.  Voter 0 is represented on all of its common items,
+    # so (0, 1) and (0, 1, 2) go; (1, 2, 3) and (1, 3) are represented on
+    # a, outside their common items, so (1, 2, 3, 4) goes.  (1, 3, 4)
+    # shares the key of (1, 2, 3), and (2,) that of (1,).
+    from probud.axioms import _GroupTable
+
+    inst = Instance(("a", "b", "c"), (1.0, 1.0, 1.0), 2.0)
+    table = _GroupTable(inst, Profile.of([{0}, {0, 1}, {0, 1}, {1, 2}, {1}]))
+    assert [voters for voters, _, _ in table.groups] == [
+        (0,), (0, 1), (0, 1, 2), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 4), (1, 3), (1, 4), (3,), (3, 4), (4,)
+    ]
+    assert [voters for voters, _, _ in table.pruned_groups(0b001, "local-bpjr")] == [
+        (0,), (1,), (1, 2), (1, 2, 3), (1, 2, 4), (1, 3), (1, 4), (3,), (3, 4), (4,)
+    ]
+
+
+def test_the_pruned_sweeps_keep_fewer_entries_on_an_exact_cell_instance():
+    from probud._bits import mask_of
+    from probud.axioms import _GroupTable
+
+    inst, profile = next(_exact_cell_instances(1))
+    budget = random_feasible_budget(inst, random.Random(1))
+    table = _GroupTable(inst, profile)
+    for family in ("strong-bpjr", "bpjr", "local-bpjr"):
+        pruned = table.pruned_groups(mask_of(budget.selected), family)
+        assert len(pruned) < len(table.groups), family
+
+
+def test_ballot_masks_equal_the_per_voter_construction():
+    from probud._bits import mask_of
+    from probud.axioms import _GroupTable
+
+    for seed in range(200):
+        inst, profile = suite_instance(seed)
+        table = _GroupTable(inst, profile)
+        approvers = table.approvers
+        assert table.ballots == [
+            mask_of(c for c, voters in enumerate(approvers) if voters >> v & 1) for v in range(profile.num_voters)
+        ], f"seed {seed}"
+
+
 def _fully_represented():
     # four voters approve the selected pair a, b; a fifth approves nothing,
     # so no group's share reaches the weight 2 that represents it
