@@ -101,10 +101,7 @@ class _Tail:
     folded exactly.  Each block method takes the head subset's total and
     the lightest total of it plus one head item outside it, and keeps
     every block it cuts at the bound by the positions that decide it, so
-    that head subsets of different totals share it, and by those totals,
-    so that a repeated total, as unit costs give many of, skips the cut.
-    The two memos are separate dicts, since a float total may equal an
-    int position.
+    that head subsets of different totals share it.
     """
 
     def __init__(self, costs: Sequence[float], bound: float):
@@ -122,7 +119,6 @@ class _Tail:
         self.sums = [sums[r] for r in self.order]
         self.prefixes = list(accumulate((1 << 8 * r for r in self.order), or_, initial=0))
         self.span = bound + sums[-1]
-        self.by_total: dict = {}
         self.by_position: dict = {}
 
     def fold(self, total: float) -> float:
@@ -175,15 +171,12 @@ class _Tail:
         """The nonempty ``T`` with ``total + T`` feasible, in lex order."""
         if self.fold(total) <= self.bound:
             return self.lex
-        kept = self.by_total.get(total)
+        lo, hi = self._cut(total)
+        kept = self.by_position.get(lo) if lo == hi else None
         if kept is None:
-            lo, hi = self._cut(total)
-            kept = self.by_position.get(lo) if lo == hi else None
-            if kept is None:
-                kept = self._read(self._fits(total, lo, hi))
-                if lo == hi:
-                    self.by_position[lo] = kept
-            self.by_total[total] = kept
+            kept = self._read(self._fits(total, lo, hi))
+            if lo == hi:
+                self.by_position[lo] = kept
         return kept
 
     def exhaustive(self, total: float, lightest: float) -> Sequence[int]:
@@ -201,20 +194,17 @@ class _Tail:
             return ()
         if self.fold(total) <= bound:
             return ((1 << len(self.costs)) - 1,)
-        kept = self.by_total.get((total, lightest))
+        lo, hi = self._cut(total)
+        light_lo, light_hi = self._cut(lightest)
+        shared = lo == hi and light_lo == light_hi
+        kept = self.by_position.get((lo, light_lo)) if shared else None
         if kept is None:
-            lo, hi = self._cut(total)
-            light_lo, light_hi = self._cut(lightest)
-            shared = lo == hi and light_lo == light_hi
-            kept = self.by_position.get((lo, light_lo)) if shared else None
-            if kept is None:
-                fit, grown = self._fits(total, lo, hi), 0
-                for shift, without in self.grows:
-                    grown |= fit >> shift & without
-                kept = self._read(fit & ~grown & ~self._fits(lightest, light_lo, light_hi))
-                if shared:
-                    self.by_position[lo, light_lo] = kept
-            self.by_total[total, lightest] = kept
+            fit, grown = self._fits(total, lo, hi), 0
+            for shift, without in self.grows:
+                grown |= fit >> shift & without
+            kept = self._read(fit & ~grown & ~self._fits(lightest, light_lo, light_hi))
+            if shared:
+                self.by_position[lo, light_lo] = kept
         return kept
 
 

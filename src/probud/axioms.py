@@ -38,18 +38,19 @@ arithmetic: a knapsack that weighs its bundle another way must restate
 it.  A :class:`probud._bits.MaskFold` memoizes subset weights, and
 another each mask's cheapest item cost that Local-BPJR tests.
 
-:func:`check_axiom` reads no group at all where a per-voter bound
-already settles a BPJR-family check as satisfied
-(:meth:`_GroupTable.certified`): each voter's represented weight bounds
-that of every group holding the voter.  The bound sorts each item's
-approvers once per selection, so it runs for a single selection only;
-verdicts over many selections share one sweep instead.  Where the bound
-settles nothing, :func:`check_axiom` sweeps only the voter subsets below
-which a violation of its one selection can still lie
-(:meth:`_GroupTable.pruned_groups`), and finds the same violations.
-Verdicts (:func:`evaluate_axioms`, ``certify``,
+:func:`check_axiom` sweeps only the voter subsets below which a
+violation of its one selection can still lie
+(:meth:`_GroupTable.pruned_groups`), and finds the same violations.  A
+per-voter bound marks the items a violating group can have in common:
+each voter's represented weight bounds that of every group holding the
+voter, and a group sharing an item lies among its approvers.  A subset
+whose common items include none of these owed items, or whose
+represented weight already covers what the family can ask of it, is not
+expanded, and where no item is owed no group is built.  The bound sorts
+each item's approvers once per selection, so it serves a single
+selection only: verdicts (:func:`evaluate_axioms`, ``certify``,
 ``verify-implications``), ``replay_witnesses`` and BPJR's refusal of
-oversized common items read the full sweep.
+oversized common items read the full sweep, shared among selections.
 
 Errors, in this order: an invalid profile raises ``InvalidProfile``; a
 budget that is infeasible, names an unknown item or carries a
@@ -355,13 +356,55 @@ class _GroupTable:
             ballot.bit_count() > MAX_EXACT_BUNDLE_ITEMS for ballot in self.ballots
         )
 
-    def pruned_groups(self, selected: int, family: str) -> list[tuple[tuple[int, ...], int, int]]:
+    def owed(self, selected: int, family: str, denom: float) -> int:
+        """The mask of the items that a violating entry of a BPJR-family
+        report on the one selection ``selected``, at denominator ``denom >
+        TOL``, can have in common: every such entry's common items are
+        owed, so with no item owed the selection satisfies the axiom.
+
+        A voter's represented weight ``r = weights[ballot & selected]`` is
+        at most that of any group holding the voter: a fold of positive
+        costs only grows as items join it.  A group of ``k`` voters that
+        shares item ``c`` lies among ``c``'s approvers, so its represented
+        weight is at least the ``k``-th smallest ``r`` among them.  Its
+        level and cap are at most ``share = k * denom / n``, the float
+        :meth:`claims` forms, its room is at most ``share - r``, and each of
+        its common items costs at least the cheapest item.  ``falls_short``
+        and ``fits`` are monotone, so no group sharing ``c`` violates
+        Strong-BPJR unless some such ``r`` falls short of its share, BPJR
+        unless one falls short of the :func:`_bundle_ceiling` of its cap,
+        and Local-BPJR unless the cheapest item fits in some ``share - r``;
+        ``c`` is owed iff one does.  This costs a sort of each item's
+        approvers, so it serves a single selection.
+        """
+        n, weights = self.n, self.weights
+        per_voter = [weights[ballot & selected] for ballot in self.ballots]
+        cheapest = min(self.inst.cost)
+        owed = 0
+        for c, approvers in enumerate(self.approvers):
+            for k, r in enumerate(sorted(per_voter[v] for v in bits(approvers)), 1):
+                share = k * denom / n
+                if family == "strong-bpjr":
+                    short = falls_short(r, share)
+                elif family == "bpjr":
+                    short = falls_short(r, _bundle_ceiling(min(share, denom)))
+                else:
+                    short = fits(cheapest, share - r)
+                if short:
+                    owed |= 1 << c
+                    break
+        return owed
+
+    def pruned_groups(self, selected: int, family: str, denom: float) -> list[tuple[tuple[int, ...], int, int]]:
         """The entries of :attr:`groups` that a BPJR-family report on the
-        one selection ``selected`` can find violating, each with its voter
-        tuple and in its order, from a sweep that expands a voter subset
-        only where its ``descend(common, union)`` leaves room for a
-        violation at the subset or above it.  With ``rep = weights[union &
-        selected]`` and ``W = weights[common]``:
+        one selection ``selected`` at denominator ``denom > TOL`` can find
+        violating, each with its voter tuple and in its order, from a sweep
+        that expands a voter subset only where its ``descend(common,
+        union)`` leaves room for a violation at the subset or above it.
+        With no item :meth:`owed`, no group is built.  Otherwise a subset
+        descends iff its common items meet the owed items and its family's
+        test descends.  With ``rep = weights[union & selected]`` and ``W =
+        weights[common]``:
 
         * Strong-BPJR descends iff ``rep`` falls short of ``W``: an entry's
           level is at most ``W``.
@@ -392,17 +435,19 @@ class _GroupTable:
         :func:`check_axiom` reads them; every other caller reads
         :attr:`groups` or :attr:`classes`.
         """
-        weights = self.weights
+        owed, weights = self.owed(selected, family, denom), self.weights
+        if not owed:
+            return []
         if family == "strong-bpjr":
             def descend(common: int, union: int) -> bool:
-                return falls_short(weights[union & selected], weights[common])
+                return common & owed != 0 and falls_short(weights[union & selected], weights[common])
         elif family == "bpjr":
             def descend(common: int, union: int) -> bool:
-                return falls_short(weights[union & selected], weights[common] * (1 + 2**-44))
+                return common & owed != 0 and falls_short(weights[union & selected], weights[common] * (1 + 2**-44))
         else:
             def descend(common: int, union: int) -> bool:
                 represented = union & selected
-                return represented & ~common == 0 and represented != common
+                return common & owed != 0 and represented & ~common == 0 and represented != common
         return _cohesive_groups(self.ballots, descend)
 
     def heaviest(self, mask: int, cap: float) -> tuple[float, int]:
@@ -515,53 +560,6 @@ class _GroupTable:
         if oversized:
             raise TooLargeForExact(f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items")
 
-    def certified(self, selection: tuple[int, float], axiom: AxiomId) -> bool:
-        """True if a per-voter bound shows that no group violates a
-        BPJR-family axiom, so that :meth:`report` would find the selection
-        satisfied; False settles nothing.  Admits the axiom and refuses
-        oversized common items first, as :meth:`report` does.
-
-        A voter's represented weight ``r = weights[ballot & selected]`` is
-        at most that of any group holding the voter: a fold of positive
-        costs only grows as items join it.  A group of ``k`` voters that
-        shares item ``c`` lies among ``c``'s approvers, so its represented
-        weight is at least the ``k``-th smallest ``r`` among them.  Its
-        level and cap are at most ``share = k * denom / n``, the float
-        :meth:`claims` forms, and its room is at most ``share - r``; each of
-        its common items costs at least the cheapest item.  ``falls_short``
-        and ``fits`` are monotone, so no group violates Strong-BPJR if no
-        such ``r`` falls short of its share, BPJR if none falls short of
-        the :func:`_bundle_ceiling` of its cap, and Local-BPJR if the
-        cheapest item fits in no ``share - r``.
-
-        The test reads no group, and costs a sort of each item's
-        approvers: :func:`check_axiom` runs it for its one selection, and
-        :meth:`holds`, whose callers share one sweep among many
-        selections, does not.
-        """
-        self._admit(axiom)
-        family = axiom.family
-        selected, total = selection
-        denom = self.inst.limit if axiom.variant == "l" else total
-        if family in _BJR_FAMILIES or denom <= TOL:
-            return False  # the stream reads no group here either
-        self._refuse(family, denom)
-        n, weights = self.n, self.weights
-        represented = [weights[ballot & selected] for ballot in self.ballots]
-        cheapest = min(self.inst.cost)
-        for approvers in self.approvers:
-            for k, r in enumerate(sorted(represented[v] for v in bits(approvers)), 1):
-                share = k * denom / n
-                if family == "strong-bpjr":
-                    owed = falls_short(r, share)
-                elif family == "bpjr":
-                    owed = falls_short(r, _bundle_ceiling(min(share, denom)))
-                else:
-                    owed = fits(cheapest, share - r)
-                if owed:
-                    return False
-        return True
-
     def _violations(
         self, selection: tuple[int, float], axiom: AxiomId, verdict_only: bool, pruned: bool = False
     ) -> Iterator[tuple]:
@@ -601,7 +599,7 @@ class _GroupTable:
         if verdict_only:
             entries = self.classes
         else:
-            entries = self.pruned_groups(selected, family) if pruned else self.groups
+            entries = self.pruned_groups(selected, family, denom) if pruned else self.groups
         if family == "strong-bpjr":
             # the claimable levels form an interval; test its top
             for voters, common, union, level, _, _ in self.claims(axiom.variant, denom, verdict_only, entries):
@@ -701,14 +699,10 @@ def check_local_bpjr(
 def check_axiom(inst: Instance, profile: Profile, budget: Budget, axiom: AxiomId) -> AxiomReport:
     """The report of any of the ten axioms, which every ``check_*``
     function returns: the profile is checked first, then the budget is
-    admitted, then the size caps apply.  A BPJR-family report that
-    :meth:`_GroupTable.certified` settles is returned satisfied without
-    building the cohesive groups."""
-    table = _GroupTable(inst, profile)
-    selection = _selection(inst, budget)
-    if table.certified(selection, axiom):
-        return AxiomReport(axiom, True, None, BRUTE_FORCE)
-    return table.report(selection, axiom, pruned=True)
+    admitted, then the size caps apply.  A BPJR-family report reads only
+    the :meth:`_GroupTable.pruned_groups` of its one budget, and none at
+    all where no item is owed."""
+    return _GroupTable(inst, profile).report(_selection(inst, budget), axiom, pruned=True)
 
 
 def evaluate_axioms(inst: Instance, profile: Profile, budget: Budget) -> dict[AxiomId, bool]:

@@ -283,13 +283,15 @@ class GenSpec:
             raise InvalidSpec("generator spec must be a JSON object")
         known = {f.name for f in fields(cls)}
         aliases = {"m": "num_items", "n": "num_voters"}
-        kwargs = {}
-        for key, value in data.items():
+        given: dict[str, str] = {}
+        for key in data:
             name = aliases.get(key, key)
             if name not in known:
                 raise InvalidSpec(f"unknown generator field {key!r}")
-            kwargs[name] = value
-        return cls(**kwargs)
+            if name in given:
+                raise InvalidSpec(f"generator field {name!r} is given twice, as {given[name]!r} and {key!r}")
+            given[name] = key
+        return cls(**{name: data[key] for name, key in given.items()})
 
     @classmethod
     def from_json(cls, text: str) -> "GenSpec":

@@ -763,9 +763,9 @@ def test_bpjr_family_reports_match_the_reference_at_tolerance_boundaries():
 
 
 def test_certified_checks_equal_the_uncertified_report_at_tolerance_boundaries():
-    # check_axiom settles some BPJR-family checks with a per-voter bound
-    # before any group is read; the sweep's own report must be the same,
-    # and the reference must find no violation wherever the bound answers
+    # check_axiom builds no group where a per-voter bound leaves no item
+    # owed; the full sweep's report must be the same, and the reference
+    # must find no violation wherever no item is owed
     from probud._bits import mask_of
     from probud.axioms import _GroupTable
 
@@ -776,7 +776,8 @@ def test_certified_checks_equal_the_uncertified_report_at_tolerance_boundaries()
         for axiom in BPJR_AXIOMS:
             report = _GroupTable(inst, profile).report(selection, axiom)
             assert check_axiom(inst, profile, budget, axiom) == report, f"seed {seed} axiom {axiom}"
-            if _GroupTable(inst, profile).certified(selection, axiom):
+            denom = inst.limit if axiom.variant == "l" else budget.total_cost
+            if denom > TOL and not _GroupTable(inst, profile).owed(selection[0], axiom.family, denom):
                 assert reference_bpjr_report(inst, profile, budget, axiom).satisfied, f"seed {seed} axiom {axiom}"
                 certified[axiom] += 1
     assert min(certified.values()) > 100, certified
@@ -805,7 +806,8 @@ def _exact_cell_instances(count):
 
 def test_a_pruned_check_reports_as_the_full_sweep_on_exact_cell_instances():
     # check_axiom sweeps only the subtrees that can hold a violation for
-    # its one budget; the report must equal the table's full-sweep report
+    # its one budget; the report must equal the table's full-sweep report,
+    # counting the checks that leave some item owed and so build groups
     from probud._bits import mask_of
     from probud.axioms import _GroupTable
 
@@ -819,7 +821,8 @@ def test_a_pruned_check_reports_as_the_full_sweep_on_exact_cell_instances():
             for axiom in BPJR_AXIOMS:
                 report = table.report(selection, axiom)
                 assert check_axiom(inst, profile, budget, axiom) == report, (axiom, sorted(budget.selected))
-                pruned += not table.certified(selection, axiom)
+                denom = inst.limit if axiom.variant == "l" else budget.total_cost
+                pruned += table.owed(selection[0], axiom.family, denom) != 0
                 violated += not report.satisfied
     assert pruned > 1500 and violated > 500, (pruned, violated)
 
@@ -877,20 +880,53 @@ def test_a_pruned_sweep_records_but_does_not_expand_a_subset_it_stops_at():
 
 def test_the_local_bpjr_sweep_stops_where_represented_items_leave_or_cover_the_common_items():
     # a, b, c at unit cost, {a} selected; ballots {a}, {a, b}, {a, b},
-    # {b, c}, {b}.  Voter 0 is represented on all of its common items,
+    # {b, c}, {b}.  Under a limit of 5 every item is owed (one voter's
+    # share, 1, leaves room for an item beside b's or c's unrepresented
+    # approvers, two voters' share beside a's), so only the family's test
+    # stops a branch.  Voter 0 is represented on all of its common items,
     # so (0, 1) and (0, 1, 2) go; (1, 2, 3) and (1, 3) are represented on
     # a, outside their common items, so (1, 2, 3, 4) goes.  (1, 3, 4)
     # shares the key of (1, 2, 3), and (2,) that of (1,).
     from probud.axioms import _GroupTable
 
-    inst = Instance(("a", "b", "c"), (1.0, 1.0, 1.0), 2.0)
+    inst = Instance(("a", "b", "c"), (1.0, 1.0, 1.0), 5.0)
     table = _GroupTable(inst, Profile.of([{0}, {0, 1}, {0, 1}, {1, 2}, {1}]))
     assert [voters for voters, _, _ in table.groups] == [
         (0,), (0, 1), (0, 1, 2), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 4), (1, 3), (1, 4), (3,), (3, 4), (4,)
     ]
-    assert [voters for voters, _, _ in table.pruned_groups(0b001, "local-bpjr")] == [
+    assert table.owed(0b001, "local-bpjr", inst.limit) == 0b111
+    assert [voters for voters, _, _ in table.pruned_groups(0b001, "local-bpjr", inst.limit)] == [
         (0,), (1,), (1, 2), (1, 2, 3), (1, 2, 4), (1, 3), (1, 4), (3,), (3, 4), (4,)
     ]
+
+
+@pytest.mark.parametrize("family", ["strong-bpjr", "bpjr", "local-bpjr"])
+def test_a_sweep_stops_at_common_items_that_are_not_owed(family):
+    # a costs 3, b, c and d cost 1, limit 4, {b, c} selected; ballots {a,
+    # b}, {a, c}, {d} three times, and five empty ones, so k voters' share
+    # is 0.4k.  Voters 0 and 1 are represented by weight 1 each, which
+    # covers the share of one or two of them: a, b and c are not owed.  d's
+    # three unrepresented approvers are owed 1.2, so d is owed.  Voter 0 is
+    # represented by 1 of its common weight 4, on b alone of its common
+    # items a and b, so each family's own test would expand it to (0, 1);
+    # the owed items stop it.  The d bloc is expanded, and (2, 3, 4),
+    # represented by nothing, violates each family.
+    from probud.axioms import _GroupTable
+
+    inst = Instance(("a", "b", "c", "d"), (3.0, 1.0, 1.0, 1.0), 4.0)
+    profile = Profile.of([{0, 1}, {0, 2}, {3}, {3}, {3}] + [set()] * 5)
+    budget = Budget.of(inst, [1, 2])
+    table = _GroupTable(inst, profile)
+    assert [voters for voters, _, _ in table.groups] == [(0,), (0, 1), (1,), (2,), (2, 3), (2, 3, 4)]
+    assert table.owed(0b0110, family, inst.limit) == 0b1000
+    assert [voters for voters, _, _ in table.pruned_groups(0b0110, family, inst.limit)] == [
+        (0,), (1,), (2,), (2, 3), (2, 3, 4)
+    ]
+    axiom = AxiomId(family, "l")
+    report = check_axiom(inst, profile, budget, axiom)
+    assert report == table.report((0b0110, budget.total_cost), axiom)
+    assert report == reference_bpjr_report(inst, profile, budget, axiom)
+    assert report.witness.voters == frozenset({2, 3, 4})
 
 
 def test_the_pruned_sweeps_keep_fewer_entries_on_an_exact_cell_instance():
@@ -901,7 +937,7 @@ def test_the_pruned_sweeps_keep_fewer_entries_on_an_exact_cell_instance():
     budget = random_feasible_budget(inst, random.Random(1))
     table = _GroupTable(inst, profile)
     for family in ("strong-bpjr", "bpjr", "local-bpjr"):
-        pruned = table.pruned_groups(mask_of(budget.selected), family)
+        pruned = table.pruned_groups(mask_of(budget.selected), family, inst.limit)
         assert len(pruned) < len(table.groups), family
 
 

@@ -258,9 +258,10 @@ def test_genspec_rejects_a_field_of_the_wrong_type(key, value):
     ('{"m": 3, "n": 3, "cost_model": "uniform", "cost_low": 1%s, "cost_high": 1%s}' % ("0" * 400, "0" * 401),
      "cost_low is an integer too large"),
     ('{"m": 3, "n": 3, "limit_fraction": 1%s}' % ("0" * 5000), "bad generator spec"),
+    ('{"m": 5, "num_items": 6, "n": 3}', "'num_items' is given twice, as 'm' and 'num_items'"),
 ], ids=["no-voters", "unknown-ballot-model", "cost-low-above-high", "overlap-above-one",
         "overlap-below-zero", "no-groups", "zero-limit-fraction", "malformed-json", "not-an-object",
-        "huge-int-limit-fraction", "huge-int-costs", "int-of-5001-digits"])
+        "huge-int-limit-fraction", "huge-int-costs", "int-of-5001-digits", "field-named-twice"])
 def test_genspec_from_json_rejects_an_impossible_spec(text, message):
     # the huge ints used to pass construction and overflow in generate; an
     # int of over 4300 digits made json.loads raise a raw ValueError

@@ -161,8 +161,8 @@ def test_tail_blocks_equal_the_doubled_blocks_near_the_bound(monkeypatch):
 def test_a_total_and_a_position_of_equal_value_keep_their_own_blocks(order):
     # five unit items before a tail of costs 1, 2 and 4, under a limit of 7:
     # head total 3.0 cuts the sorted tail sums at position 5 and head total
-    # 5.0 at position 3, so one memo for both would hand a total the block
-    # of the position that equals it
+    # 5.0 at position 3, so a memo keyed by totals as well as positions
+    # would hand a total the block of the position that equals it
     inst = Instance(tuple(f"c{j}" for j in range(8)), (1.0,) * 6 + (2.0, 4.0), 7.0)
     bound = fit_bound(inst.limit)
     assert feasible_blocks(inst.cost, bound, False)[0] == 5
@@ -170,7 +170,7 @@ def test_a_total_and_a_position_of_equal_value_keep_their_own_blocks(order):
     tail = _Tail(costs, bound)
     for total in [1.0, 2.0, 3.0, 4.0, 5.0][::order]:
         assert list(tail.fitting(total, math.inf)) == _doubled_blocks(costs, bound, total, math.inf)[0]
-    assert tail.by_total[3.0] != tail.by_position[3]
+    assert list(tail.fitting(3.0, math.inf)) != tail.by_position[3]
     _assert_the_blocks_flatten_to_the_feasible_subsets(inst)
 
 
