@@ -16,7 +16,7 @@ rule's bundles and subset sums, the knapsack's halves) are doubled item
 by item where they are built.  Subset totals are added left to right in
 ascending item order here, as in ``Instance.weight`` and in those
 doublings, so the same items always give the same float; the sorted
-table only decides which totals need that fold (:meth:`_Tail._cut`).
+table only decides which totals need that fold (:func:`fold_cut`).
 """
 
 from __future__ import annotations
@@ -85,6 +85,41 @@ def _tail_start(costs: Sequence[float], bound: float) -> int:
     return start if m - start >= _TAIL_FLOOR else m
 
 
+def fold_cut(sums: Sequence[float], total: float, bound: float, span: float) -> tuple[int, int]:
+    """Positions ``lo <= hi`` in ``sums`` such that the fold of ``T`` from
+    ``total`` fits ``bound`` for every ``T`` before ``lo`` and for none from
+    ``hi`` on.  ``sums`` are the own sums ``s_T`` of subsets ``T`` of at most
+    13 positive terms, each their left fold from ``0.0``, in ascending order,
+    and ``span`` is ``bound + S`` for the fold ``S`` of all the terms.  The
+    subset walk's tail (at most ``_TAIL_CAP`` items) and the knapsack's
+    right half (at most 13 of 25 items) cut their sums here.
+
+    The cut compares ``s_T`` with ``bound - t`` less or plus the margin ``M
+    = 2^-44 (t + bound + S)``, for the total ``t``.  It is safe (barring
+    underflow).  With ``u = 2^-53``, a left fold of ``j <= 13`` positive
+    terms after its start is within ``γ_j < 13.01u`` times the exact sum of
+    that sum (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., section 4.2).  So ``fold(t, T)`` is within ``13.01u (t + Σ_T)`` of
+    the exact ``t + Σ_T``, and ``s_T``, whose first step is exact, within
+    ``12.01u Σ_T`` of ``Σ_T``, where ``Σ_T < 1.001 S``: together, ``|fold(t,
+    T) - (t + s_T)| < 2^-48 (t + S)``.  For ``0 <= t <= bound``, the two
+    thresholds ``fl(fl(bound - t) ∓ M)``, with ``M`` itself within a
+    relative ``2u``, lie within ``2.01u·bound + 3.01u·M`` of ``bound - t ∓
+    M``.  So ``s_T`` at or below the lower one gives ``fold(t, T) < bound -
+    (1 - 3.01u) M + 2.01u·bound + 2^-48 (t + S) < bound``, and above the
+    upper one gives ``fold(t, T) > bound``.  A total past the bound fits
+    nothing, not even the empty ``T``: that also covers an infinite total.
+    An infinite bound, which the margin cannot be taken from, fits every
+    ``T``.
+    """
+    if total > bound:
+        return 0, 0
+    if bound == inf:
+        return len(sums), len(sums)
+    room, margin = bound - total, (total + span) * 2.0 ** -44
+    return bisect_right(sums, room - margin), bisect_right(sums, room + margin)
+
+
 class _Tail:
     """The tail template, from which each block is computed: the tail
     items, the nonempty tail subsets ``T`` as relative masks ``r`` (bit
@@ -96,7 +131,7 @@ class _Tail:
 
     A block keeps the ``T`` whose fold from its head subset's total ``t``
     fits the bound, and that fold is within a margin of ``t + s_T``
-    (:meth:`_cut`).  So the ``T`` that fit are those before a *position*
+    (:func:`fold_cut`).  So the ``T`` that fit are those before a *position*
     in the sorted sums, but for the few inside the margin, which are
     folded exactly.  Each block method takes the head subset's total and
     the lightest total of it plus one head item outside it, and keeps
@@ -127,32 +162,8 @@ class _Tail:
 
     def _cut(self, total: float) -> tuple[int, int]:
         """Positions ``lo <= hi`` in the sorted sums such that every ``T``
-        before ``lo`` fits ``total`` and none from ``hi`` on.
-
-        The cut compares ``s_T`` with ``bound - t`` less or plus the
-        margin ``M = 2^-44 (t + bound + S)``, for the total ``t`` and the
-        tail's own total ``S``.  It is safe (barring underflow).  With
-        ``u = 2^-53``, a left fold of ``j <= _TAIL_CAP = 8`` positive terms
-        after its start is within ``γ_j < 8.01u`` times the exact sum of
-        that sum (Higham, *Accuracy and Stability of Numerical
-        Algorithms*, 2nd ed., section 4.2).  So ``fold(t, T)`` is within
-        ``8.01u (t + Σ_T)`` of the exact ``t + Σ_T``, and ``s_T``, whose
-        first step is exact, within ``7.01u Σ_T`` of ``Σ_T``, where ``Σ_T
-        < 1.001 S``: together, ``|fold(t, T) - (t + s_T)| < 2^-49 (t +
-        S)``.  For ``0 <= t <= bound``, the two thresholds ``fl(fl(bound -
-        t) ∓ M)``, with ``M`` itself within a relative ``2u``, lie within
-        ``2.01u·bound + 3.01u·M`` of ``bound - t ∓ M``.  So ``s_T`` at or
-        below the lower one gives ``fold(t, T) < bound - (1 - 3.01u) M +
-        2.01u·bound + 2^-49 (t + S) < bound``, and above the upper one
-        gives ``fold(t, T) > bound``.  A total past the bound fits
-        nothing, not even the empty ``T``: that also covers an infinite
-        ``lightest``.
-        """
-        bound = self.bound
-        if total > bound:
-            return 0, 0
-        room, margin = bound - total, (total + self.span) * 2.0 ** -44
-        return bisect_right(self.sums, room - margin), bisect_right(self.sums, room + margin)
+        before ``lo`` fits ``total`` and none from ``hi`` on (:func:`fold_cut`)."""
+        return fold_cut(self.sums, total, self.bound, self.span)
 
     def _fits(self, total: float, lo: int, hi: int) -> int:
         """Whether ``total + T`` fits, as one flag byte per relative mask

@@ -23,19 +23,19 @@ at the first violation and reads just the largest size of each (common
 items, union) class, since every violation test is monotone in group
 size.
 
-Two exact shortcuts cut the BPJR families' work per budget.  An entry's
-level, its knapsack cap and that cap's ceiling (:func:`_bundle_ceiling`)
-depend on the denominator alone, so :meth:`_GroupTable.claims` computes
-them once per (denominator, variant, mode), as far as a sweep reads, and
-keeps the latest list of each variant and mode: one list per table for
-"l", reused while budget totals repeat for "w".  The ceiling is one
-float step above ``fit_bound(cap)``, which no pair sum ``s + r`` of
-:func:`_max_bundle_over` can pass.  Since ``falls_short`` is monotone in
-the weight it compares with, an entry whose represented weight is not
-short of the ceiling is not short of the knapsack's weight either, and
-BPJR skips its knapsack.  The ceiling rests on that ``s + r``
-arithmetic: a knapsack that weighs its bundle another way must restate
-it.  A :class:`probud._bits.MaskFold` memoizes subset weights, and
+Every item set, the knapsack's bundles included, weighs the ascending
+left fold of its costs, as ``Instance.weight`` gives it, and a bundle
+fits iff that fold does.  Two exact shortcuts cut the BPJR families'
+work per budget.  An entry's level, its knapsack cap and that cap's
+ceiling ``fit_bound(cap)`` depend on the denominator alone, so
+:meth:`_GroupTable.claims` computes them once per (denominator, variant,
+mode), as far as a sweep reads, and keeps the latest list of each
+variant and mode: one list per table for "l", reused while budget totals
+repeat for "w".  No bundle that :func:`_max_bundle_over` returns passes
+the ceiling, and ``falls_short`` is monotone in the weight it compares
+with, so an entry whose represented weight is not short of the ceiling
+is not short of the knapsack's weight either, and BPJR skips its
+knapsack.  A :class:`probud._bits.MaskFold` memoizes subset weights, and
 another each mask's cheapest item cost that Local-BPJR tests.
 
 :func:`check_axiom` sweeps only the voter subsets below which a
@@ -83,13 +83,12 @@ every deficit is one unit, streams in (voter tuple, item) order.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial, reduce
 from operator import add
 from typing import Callable, Iterator, Mapping, Sequence
 
-from ._bits import MaskFold, bits, mask_of
+from ._bits import MaskFold, bits, fold_cut, mask_of
 from .errors import InvalidBudget, InvalidChoice, InvalidCost, InvalidLimit, TooLargeForExact
 from .model import (
     ALL_AXIOMS,
@@ -153,13 +152,16 @@ def max_bundle(costs: Mapping, cap: float) -> tuple[float, frozenset]:
     """Heaviest sub-bundle of ``costs`` that fits under ``cap``, plus one
     bundle achieving it.
 
-    Exact via half-set enumeration, hence at most
-    ``MAX_EXACT_BUNDLE_ITEMS`` items.  The empty bundle always fits, so
-    the result is 0 when no single item does.  Each cost must be positive
-    and finite, as for :func:`normalize` (else ``InvalidCost``); ``cap``
-    may be any number in float range but NaN, ``inf`` included (else
-    ``InvalidLimit``).  ``costs`` that is not a mapping raises
-    ``InvalidCost``.
+    A bundle's weight is the left fold of its costs from ``0.0`` in the
+    order of ``costs``' keys, as ``Instance.weight`` folds in item order,
+    and the bundle fits iff that weight :func:`fits` under ``cap``; the
+    weight returned is the chosen bundle's.  Exact via half-set
+    enumeration, hence at most ``MAX_EXACT_BUNDLE_ITEMS`` items.  The
+    empty bundle always fits, so the result is 0 when no single item
+    does.  Each cost must be positive and finite, as for
+    :func:`normalize` (else ``InvalidCost``); ``cap`` may be any number in
+    float range but NaN, ``inf`` included (else ``InvalidLimit``).
+    ``costs`` that is not a mapping raises ``InvalidCost``.
     """
     if not isinstance(costs, Mapping):
         raise InvalidCost(f"costs must be a mapping of keys to costs, got a {type(costs).__name__}")
@@ -172,8 +174,7 @@ def max_bundle(costs: Mapping, cap: float) -> tuple[float, frozenset]:
         raise TooLargeForExact(
             f"bundle maximizer supports at most {MAX_EXACT_BUNDLE_ITEMS} items, got {len(keys)}"
         )
-    values = [costs[k] for k in keys]
-    weight, mask = _max_bundle_over(values, range(len(keys)), cap)
+    weight, mask = _max_bundle_over([costs[k] for k in keys], (1 << len(keys)) - 1, cap)
     return weight, frozenset(keys[i] for i in bits(mask))
 
 
@@ -182,48 +183,50 @@ def max_bundle_weight(costs: Mapping, cap: float) -> float:
     return max_bundle(costs, cap)[0]
 
 
-def _subset_pairs(values: Sequence[float], positions: Sequence[int], bound: float) -> list[tuple[float, int]]:
-    # the (sum, bitmask-over-positions) pairs of one half's subsets that fit
+def _subset_pairs(costs: Sequence[float], items: Sequence[int], bound: float) -> list[tuple[float, int]]:
+    # the (ascending fold, item mask) pairs of the subsets of items that fit
     # under bound (costs are positive, so a subset fits iff all its prefixes
     # do), in the order an unbounded doubling would list them
     out = [(0.0, 0)]
-    for value, pos in zip(values, positions):
-        bit = 1 << pos
-        out += [(s + value, m | bit) for s, m in out if s + value <= bound]
+    for i in items:
+        cost, bit = costs[i], 1 << i
+        out += [(s + cost, m | bit) for s, m in out if s + cost <= bound]
     return out
 
 
-def _max_bundle_over(values: Sequence[float], positions: Sequence[int], cap: float) -> tuple[float, int]:
+def _max_bundle_over(costs: Sequence[float], mask: int, cap: float) -> tuple[float, int]:
+    """The heaviest bundle of the items in ``mask``, of costs ``costs[i]``,
+    that fits ``cap``, as ``(weight, bundle mask)``, where a bundle's weight
+    is the left fold of its costs from ``0.0`` in ascending item order, as
+    ``Instance.weight`` forms it, and it fits iff that fold does.
+
+    Horowitz and Sahni's meet in the middle (JACM 1974): the items split in
+    a left and a right half, and a left subset, of fold ``s``, starts its
+    bundles' fold and cuts the right subsets' sorted own sums at
+    ``fit_bound(cap) - s`` (:func:`fold_cut`).  The right subsets before
+    the cut's margin fit, those past it do not, and those inside it are
+    folded exactly; the highest that fits joins ``s``.  A bundle must
+    outweigh the best so far by more than 1e-12 to replace it.
+    """
     bound = fit_bound(cap)
     if bound < 0:
         return 0.0, 0
-    half = len(values) // 2
-    left = _subset_pairs(values[:half], positions[:half], bound)
-    right = sorted(_subset_pairs(values[half:], positions[half:], bound))
-    right_sums = [s for s, _ in right]
+    items = list(bits(mask))
+    left, right = items[:len(items) // 2], items[len(items) // 2:]
+    pairs = sorted(_subset_pairs(costs, right, bound))
+    sums, span = [r for r, _ in pairs], bound + reduce(add, map(costs.__getitem__, right), 0.0)
     best_weight, best_mask = 0.0, 0
-    for s, m in left:
-        # right_sums[0] is the empty subset's 0.0, and bound - s >= 0
-        i = bisect_right(right_sums, bound - s) - 1
-        total = s + right_sums[i]
-        if total > best_weight + 1e-12:
-            best_weight, best_mask = total, m | right[i][1]
+    for s, m in _subset_pairs(costs, left, bound):
+        lo, hi = fold_cut(sums, s, bound, span)
+        # pairs[0] is the empty subset, whose fold s fits: the scan stops at
+        # 0 or above if lo is 0, else at lo - 1 at the latest, which fits
+        for i in range(hi - 1, lo - 2, -1):
+            weight = reduce(add, map(costs.__getitem__, bits(pairs[i][1])), s)
+            if i < lo or weight <= bound:
+                break
+        if weight > best_weight + 1e-12:
+            best_weight, best_mask = weight, m | pairs[i][1]
     return best_weight, best_mask
-
-
-def _bundle_ceiling(cap: float) -> float:
-    """A float at least the weight :func:`_max_bundle_over` returns for a
-    cap ``cap >= 0``, whatever the items.
-
-    That weight is 0.0 or a rounded pair sum ``s + r`` with ``0 <= s <=
-    bound = fit_bound(cap)`` and ``r <= fl(bound - s)``.  The exact
-    difference ``bound - s`` lies in ``[0, bound]``, so ``fl(bound - s)``
-    passes it by at most half an ulp of ``bound``; rounding is monotone,
-    so ``s + r`` rounds to at most the next float above ``bound``.  The
-    ceiling rests on that arithmetic: a knapsack that weighs its bundle
-    another way must restate it.
-    """
-    return math.nextafter(fit_bound(cap), math.inf)
 
 
 def _cohesive_groups(
@@ -302,7 +305,8 @@ class _GroupTable:
         self.n = profile.num_voters
         self.weights = MaskFold(inst.cost, add, 0.0)
         self.cheapest = MaskFold(inst.cost, min, math.inf)
-        self._bundles: dict[tuple[int, float], tuple[float, int]] = {}
+        # heaviest(mask, cap): the knapsack over the items in mask, memoized
+        self.heaviest = cache(partial(_max_bundle_over, inst.cost))
         # (variant, verdict_only) -> (denominator, entries, claims built,
         # entries unread, {size: (share, cap, ceiling)})
         self._claims_held: dict[tuple[str, bool], tuple[float, list, list[tuple], Iterator, dict]] = {}
@@ -372,8 +376,9 @@ class _GroupTable:
         its common items costs at least the cheapest item.  ``falls_short``
         and ``fits`` are monotone, so no group sharing ``c`` violates
         Strong-BPJR unless some such ``r`` falls short of its share, BPJR
-        unless one falls short of the :func:`_bundle_ceiling` of its cap,
-        and Local-BPJR unless the cheapest item fits in some ``share - r``;
+        unless one falls short of ``fit_bound`` of its cap, which no
+        knapsack weight passes, and Local-BPJR unless the cheapest item
+        fits in some ``share - r``;
         ``c`` is owed iff one does.  This costs a sort of each item's
         approvers, so it serves a single selection.
         """
@@ -387,7 +392,7 @@ class _GroupTable:
                 if family == "strong-bpjr":
                     short = falls_short(r, share)
                 elif family == "bpjr":
-                    short = falls_short(r, _bundle_ceiling(min(share, denom)))
+                    short = falls_short(r, fit_bound(min(share, denom)))
                 else:
                     short = fits(cheapest, share - r)
                 if short:
@@ -406,21 +411,12 @@ class _GroupTable:
         test descends.  With ``rep = weights[union & selected]`` and ``W =
         weights[common]``:
 
-        * Strong-BPJR descends iff ``rep`` falls short of ``W``: an entry's
-          level is at most ``W``.
-        * BPJR descends iff ``rep`` falls short of ``W * (1 + 2**-44)``,
-          which is at least the knapsack's weight of any violating entry.
-          With ``u = 2**-53``, that weight is 0.0 or a rounded pair sum
-          ``s + r`` whose parts are ascending folds of the two halves of
-          one bundle of ``k <= MAX_EXACT_BUNDLE_ITEMS`` common items (a
-          group reaching level 1 with more is refused first).  A fold of
-          ``j`` positive floats lies within a factor ``(1 ± u)**(j - 1)``
-          of their exact sum ``E``, so ``s + r`` rounds to at most ``E *
-          (1 + u)**k``, while ``W``, which folds a superset of the bundle
-          in ascending order, is at least ``E * (1 - u)**(k - 1)``.  The
-          product rounds to at least ``W * (1 + 512u) * (1 - u)``, and
-          ``(1 + u)**25 < (1 + 512u) * (1 - u)**25``.  The bound rests on
-          that ``s + r`` arithmetic, as :func:`_bundle_ceiling` does.
+        * Strong-BPJR and BPJR descend iff ``rep`` falls short of ``W``: an
+          entry's level is at most ``W``, and so is the knapsack's weight,
+          the ascending fold of a subset of the common items.  Each step of
+          a fold is monotone in its running total, and a step that adds a
+          positive cost does not lower it, so a subset's fold is at most
+          its superset's.
         * Local-BPJR descends iff ``union & selected`` is a strict subset
           of ``common``: the stream skips an entry whose represented items
           leave ``common`` or cover it.
@@ -438,28 +434,14 @@ class _GroupTable:
         owed, weights = self.owed(selected, family, denom), self.weights
         if not owed:
             return []
-        if family == "strong-bpjr":
+        if family != "local-bpjr":
             def descend(common: int, union: int) -> bool:
                 return common & owed != 0 and falls_short(weights[union & selected], weights[common])
-        elif family == "bpjr":
-            def descend(common: int, union: int) -> bool:
-                return common & owed != 0 and falls_short(weights[union & selected], weights[common] * (1 + 2**-44))
         else:
             def descend(common: int, union: int) -> bool:
                 represented = union & selected
                 return common & owed != 0 and represented & ~common == 0 and represented != common
         return _cohesive_groups(self.ballots, descend)
-
-    def heaviest(self, mask: int, cap: float) -> tuple[float, int]:
-        """Heaviest sub-bundle of the items in ``mask`` fitting under
-        ``cap``, as ``(weight, bundle_mask)``."""
-        key = (mask, cap)
-        hit = self._bundles.get(key)
-        if hit is None:
-            positions = list(bits(mask))
-            hit = _max_bundle_over([self.inst.cost[i] for i in positions], positions, cap)
-            self._bundles[key] = hit
-        return hit
 
     def claims(self, variant: str, denom: float, verdict_only: bool, entries: list) -> Iterator[tuple]:
         """The entries that claim level 1 at ``denom``, as ``(voters,
@@ -469,8 +451,9 @@ class _GroupTable:
 
         ``level`` is the top level an entry claims in Strong-BPJR and BPJR
         alike, ``cap`` its BPJR knapsack cap and ``ceiling`` that cap's
-        :func:`_bundle_ceiling`; the share behind the level, the cap and
-        the ceiling are worked out once per group size.  None of them
+        ``fit_bound``, which no knapsack weight passes; the share behind
+        the level, the cap and the ceiling are worked out once per group
+        size.  None of them
         reads the selection, so one list serves every selection with this
         denominator.  Each (variant, mode) slot holds the list of its
         latest denominator and entries only, and builds it as it is read:
@@ -491,7 +474,7 @@ class _GroupTable:
             if sized is None:
                 share = len(voters) * denom / self.n
                 cap = min(share, denom)
-                sized = by_size[len(voters)] = share, cap, _bundle_ceiling(cap)
+                sized = by_size[len(voters)] = share, cap, fit_bound(cap)
             share, cap, ceiling = sized
             level = min(share, weights[common])
             if not falls_short(level, 1.0):
@@ -611,8 +594,8 @@ class _GroupTable:
             for voters, common, union, level, cap, ceiling in self.claims(axiom.variant, denom, verdict_only, entries):
                 represented = weights[union & selected]
                 # falls_short is monotone in its second argument and the
-                # knapsack returns at most the ceiling: an entry that covers
-                # the ceiling cannot fall short of any threshold
+                # knapsack's weight fits the cap: an entry that covers the
+                # ceiling cannot fall short of any threshold
                 if not falls_short(represented, ceiling):
                     continue
                 threshold, bundle = self.heaviest(common, cap)

@@ -295,11 +295,21 @@ class GenSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GenSpec":
+        """Read a spec from JSON text; a key that an object repeats is
+        refused, where ``json.loads`` would keep its last value."""
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
             raise InvalidSpec(f"bad generator spec: {exc}") from None
         return cls.from_dict(data)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise InvalidSpec(f"generator field {key!r} is given twice")
+    return dict(pairs)
 
 
 def generate_file(spec: GenSpec, name: str = "generated") -> InstanceFile:

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+from functools import partial, reduce
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,7 +34,7 @@ from probud.errors import (
     TooLargeForExact,
 )
 from probud.harness import GenSpec, parse_instance
-from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, fit_bound, is_feasible, normalize
+from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, fit_bound, fits, is_feasible, normalize
 from probud.oracle import certify_existence, enumerate_feasible, replay_witnesses, verify_implications
 from probud.rules import bpjr_construct, gpseq, greedy_bjr_l, min_max_load
 
@@ -123,6 +125,57 @@ def test_max_bundle_keeps_its_choice_among_equally_heavy_bundles(costs, cap, wei
     # the left half's subsets are read in doubling order, each paired with
     # the heaviest right half that fits, and a tie keeps the first pair
     assert max_bundle(costs, cap) == (weight, frozenset(bundle))
+
+
+def _near_boundary_knapsacks(count):
+    # 2-8 items of unit, uniform or wide costs under keys in shuffled order,
+    # and a cap at some subset's fold less TOL, moved by up to three ulps
+    # either way: fit_bound(cap) then sits within a few ulps of that fold
+    from oracles import powerset
+
+    rng = random.Random(25)
+    for _ in range(count):
+        keys = [f"k{j}" for j in range(rng.randint(2, 8))]
+        rng.shuffle(keys)
+        costs = {k: rng.choice((1.0, rng.uniform(1.0, 4.0), 10 ** rng.uniform(0.0, 3.0))) for k in keys}
+        subset = rng.choice([b for b in powerset(keys) if b])
+        cap = reduce(add, (costs[k] for k in subset), 0.0) - TOL
+        for _ in range(rng.randint(0, 3)):
+            cap = math.nextafter(cap, rng.choice((math.inf, -math.inf)))
+        yield costs, cap
+
+
+def test_max_bundle_returns_the_fold_of_the_heaviest_bundle_that_fits_near_its_bound():
+    # a bundle weighs the fold of its costs in the mapping's order, and
+    # fits iff that fold does: the returned weight must be that fold, fit,
+    # and be the heaviest of the bundles that fit, within the knapsack's
+    # 1e-12 tie rule (weights stay under 8192, where an ulp is below 1e-12)
+    from oracles import powerset
+
+    def fold(costs, bundle):
+        return reduce(add, (c for k, c in costs.items() if k in bundle), 0.0)
+
+    for costs, cap in _near_boundary_knapsacks(2000):
+        weight, bundle = max_bundle(costs, cap)
+        assert weight == fold(costs, bundle), (costs, cap)
+        assert fits(weight, cap), (costs, cap)
+        heaviest = max(w for w in map(partial(fold, costs), powerset(costs)) if fits(w, cap))
+        assert heaviest <= weight + 1e-12, (costs, cap)
+
+
+def test_a_bpjr_l_witness_weighs_its_bundle_as_the_definition_does():
+    # the pair sum c0 + (c2 + c3) of the bundle {0, 2, 3} is fit_bound of
+    # the four voters' cap, the limit, and its fold in item order passes it
+    # by one ulp: the bundle does not fit, and the witness rests on another
+    costs = (1.777569496995039, 3.090503145327413, 3.8912990909315117, 1.0, 2.1715518377914207, 1.0)
+    inst = Instance(tuple(f"c{j}" for j in range(6)), costs, 6.66886858692655)
+    profile = Profile.of([{0, 1, 2, 3, 4}] + [set(range(6))] * 3)
+    budget = Budget.of(inst, [0, 5])
+    assert costs[0] + (costs[2] + costs[3]) == fit_bound(inst.limit) < inst.weight({0, 2, 3})
+    report = check_axiom(inst, profile, budget, AxiomId("bpjr", "l"))
+    assert not report.satisfied
+    assert report.witness.required_weight == inst.weight(report.witness.witness_bundle)
+    assert recheck_witness(inst, profile, budget, report)
 
 
 # ---------------------------------------------------------- polynomial BJR
@@ -357,10 +410,9 @@ def _equal_bound_pair():
 
 def _past_bound_pair():
     # a left-half sum s and a right-half sum r with fl(s + r) one float
-    # step past fit_bound(cap): the knapsack admits r as fitting under
-    # fl(bound - s), and the rounded sum lands above the bound.  The
-    # bundle's weight thus passes cap + TOL and recheck_witness rejects it,
-    # so the test asks only for agreement with the reference
+    # step past fit_bound(cap): the bundle {s, r} weighs s + r, its
+    # ascending fold, so it does not fit, and no bundle that fits weighs
+    # more than fit_bound(cap), which the represented weight covers
     cap, s, r = 3.312879023962449, 1.278208278670604, 2.0346707462918454
     assert s + r == math.nextafter(fit_bound(cap), math.inf)
     return _one_voter_bpjr_l((1.0, s, r, fit_bound(cap) - TOL), cap, {3})
@@ -373,22 +425,30 @@ def _past_bound_pair():
 ], ids=["near-limit", "pair-sum-at-fit-bound", "pair-sum-past-fit-bound"])
 def test_the_bpjr_exit_skips_no_knapsack_that_can_violate(case, required, represented):
     # The BPJR sweep skips the knapsack of a group whose represented weight
-    # does not fall short of the cap's ceiling.  Each group's represented
-    # weight covers a lower would-be ceiling: the cap in the first two
-    # cases, the float just below fit_bound(cap) in the second and
-    # fit_bound(cap) itself in the third.  The knapsack returns more, so
-    # only a ceiling at or above its largest result finds the violation.
+    # does not fall short of the cap's ceiling, fit_bound(cap).  Each
+    # group's represented weight covers a lower would-be ceiling: the cap
+    # in the first two cases, the float just below fit_bound(cap) in the
+    # second.  The knapsack returns more, so only a ceiling at or above its
+    # largest result finds the violation.  In the third case the
+    # represented weight covers fit_bound(cap) itself, and BPJR-L holds, as
+    # the definition says: the bundle whose pair sum passes fit_bound(cap)
+    # does not fit.
+    from probud._bits import mask_of
+    from probud.axioms import _GroupTable
+
     inst, profile, budget = case()
     axiom = AxiomId("bpjr", "l")
     report = check_axiom(inst, profile, budget, axiom)
-    assert not report.satisfied
+    assert report.satisfied == (required is None)
     assert report == reference_bpjr_report(inst, profile, budget, axiom)
+    assert report == _GroupTable(inst, profile).report((mask_of(budget.selected), budget.total_cost), axiom)
+    assert report.satisfied == literal_axiom_satisfied(inst, profile, budget, axiom)
     if required is not None:
         assert report.witness.required_weight == required
         assert report.witness.represented_weight == represented
         assert recheck_witness(inst, profile, budget, report)
-    assert not evaluate_axioms(inst, profile, budget)[axiom]
-    assert budget not in certify_existence(inst, profile, axiom).satisfying_budgets
+    assert evaluate_axioms(inst, profile, budget)[axiom] == report.satisfied
+    assert (budget in certify_existence(inst, profile, axiom).satisfying_budgets) == report.satisfied
 
 
 # -------------------------------------------------------------- local BPJR
@@ -531,6 +591,24 @@ def test_witnesses_at_tolerance_boundaries_revalidate():
             assert report.satisfied or recheck_witness(inst, profile, budget, report), (
                 f"seed {seed} axiom {axiom}"
             )
+
+
+def test_bpjr_witnesses_at_tolerance_boundaries_weigh_their_bundles_as_the_definition_does():
+    # a BPJR witness's required weight is the knapsack's weight of its
+    # bundle, which must be the bundle's Instance.weight, and every
+    # BPJR-family witness must pass recheck_witness
+    violations = 0
+    for seed in BOUNDARY_SEEDS:
+        inst, profile, budget = boundary_instance(seed)
+        for axiom in BPJR_AXIOMS:
+            report = check_axiom(inst, profile, budget, axiom)
+            if report.satisfied:
+                continue
+            if axiom.family == "bpjr":
+                violations += 1
+                assert report.witness.required_weight == inst.weight(report.witness.witness_bundle), seed
+            assert recheck_witness(inst, profile, budget, report), f"seed {seed} axiom {axiom}"
+    assert violations > 900, violations
 
 
 def test_a_local_bpjr_l_level_within_tolerance_above_the_share_revalidates():
@@ -827,13 +905,14 @@ def test_a_pruned_check_reports_as_the_full_sweep_on_exact_cell_instances():
     assert pruned > 1500 and violated > 500, (pruned, violated)
 
 
-def test_bpjr_finds_a_violation_whose_represented_weight_lies_ulps_under_the_common_weight():
-    # The knapsack weighs {a, b, c} as a + (b + c), one ulp above the
-    # ascending fold (a + b) + c, and the represented weight of the pair
-    # (0, 1) and of all three voters lies between the two less TOL.  The
-    # pair's cap is too small to claim the bundle, all three voters'
-    # is not, and the trio is reached only through the pair: a sweep
-    # that stopped at the pair for want of a margin would call it satisfied.
+def test_bpjr_holds_where_the_represented_weight_lies_ulps_under_the_common_weight():
+    # The bundle {a, b, c} weighs its ascending fold (a + b) + c, one ulp
+    # below the pair sum a + (b + c), and the represented weight of the
+    # pair (0, 1) and of all three voters lies between the two less TOL.
+    # The pair's cap is too small to claim the bundle, all three voters'
+    # is not, but their represented weight is not short of the bundle's
+    # weight by more than TOL: BPJR-L holds, as the definition says, and a
+    # knapsack that weighed the bundle as a + (b + c) would call it violated.
     from probud._bits import mask_of
     from probud.axioms import _GroupTable
 
@@ -845,11 +924,11 @@ def test_bpjr_finds_a_violation_whose_represented_weight_lies_ulps_under_the_com
     assert (a + b) + c - TOL <= budget.total_cost < a + (b + c) - TOL
     axiom = AxiomId("bpjr", "l")
     report = check_axiom(inst, profile, budget, axiom)
-    assert report.witness.voters == frozenset({0, 1, 2})
-    assert report.witness.required_weight == a + (b + c)
+    assert report.satisfied
     assert report == reference_bpjr_report(inst, profile, budget, axiom)
     selection = (mask_of(budget.selected), budget.total_cost)
     assert report == _GroupTable(inst, profile).report(selection, axiom)
+    assert literal_axiom_satisfied(inst, profile, budget, axiom)
     assert check_axiom(inst, profile, budget, AxiomId("strong-bpjr", "l")).satisfied
 
 

@@ -259,9 +259,11 @@ def test_genspec_rejects_a_field_of_the_wrong_type(key, value):
      "cost_low is an integer too large"),
     ('{"m": 3, "n": 3, "limit_fraction": 1%s}' % ("0" * 5000), "bad generator spec"),
     ('{"m": 5, "num_items": 6, "n": 3}', "'num_items' is given twice, as 'm' and 'num_items'"),
+    ('{"m": 5, "m": 6, "n": 3, "seed": 1}', "'m' is given twice"),
 ], ids=["no-voters", "unknown-ballot-model", "cost-low-above-high", "overlap-above-one",
         "overlap-below-zero", "no-groups", "zero-limit-fraction", "malformed-json", "not-an-object",
-        "huge-int-limit-fraction", "huge-int-costs", "int-of-5001-digits", "field-named-twice"])
+        "huge-int-limit-fraction", "huge-int-costs", "int-of-5001-digits", "field-named-twice",
+        "key-repeated"])
 def test_genspec_from_json_rejects_an_impossible_spec(text, message):
     # the huge ints used to pass construction and overflow in generate; an
     # int of over 4300 digits made json.loads raise a raw ValueError
