@@ -26,17 +26,18 @@ size.
 Every item set, the knapsack's bundles included, weighs the ascending
 left fold of its costs, as ``Instance.weight`` gives it, and a bundle
 fits iff that fold does.  Two exact shortcuts cut the BPJR families'
-work per budget.  An entry's level, its knapsack cap and that cap's
-ceiling ``fit_bound(cap)`` depend on the denominator alone, so
-:meth:`_GroupTable.claims` computes them once per (denominator, variant,
-mode), as far as a sweep reads, and keeps the latest list of each
-variant and mode: one list per table for "l", reused while budget totals
-repeat for "w".  No bundle that :func:`_max_bundle_over` returns passes
-the ceiling, and ``falls_short`` is monotone in the weight it compares
-with, so an entry whose represented weight is not short of the ceiling
-is not short of the knapsack's weight either, and BPJR skips its
-knapsack.  A :class:`probud._bits.MaskFold` memoizes subset weights, and
-another each mask's cheapest item cost that Local-BPJR tests.
+work per budget.  A group's share, its knapsack cap and that cap's
+ceiling ``fit_bound(cap)``, and whether it claims level 1 at all, depend
+on its size and the denominator alone, so :func:`_sizes` tabulates them
+once per denominator, and every sweep and bound reads them there; a
+group table holds the tables of its two latest denominators, enough for
+the limit and one budget's total.  No bundle that
+:func:`_max_bundle_over` returns passes the ceiling, and ``falls_short``
+is monotone in the weight it compares with, so an entry whose
+represented weight is not short of the ceiling is not short of the
+knapsack's weight either, and BPJR skips its knapsack.  A
+:class:`probud._bits.MaskFold` memoizes subset weights, and another each
+mask's cheapest item cost that Local-BPJR tests.
 
 :func:`check_axiom` sweeps only the voter subsets below which a
 violation of its one selection can still lie
@@ -84,7 +85,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, lru_cache, partial, reduce
 from operator import add
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -288,15 +289,38 @@ def _selection(inst: Instance, budget: Budget) -> tuple[int, float]:
     return mask_of(budget.selected), budget.total_cost
 
 
+def _sizes(n: int, denom: float) -> tuple[tuple[float, float, float, bool], ...]:
+    """What a group of ``k`` of ``n`` voters is owed at the denominator
+    ``denom``, for each ``k`` from 0 to ``n``: ``(share, cap, ceiling,
+    claims)``.  ``share = k * denom / n`` bounds its levels, ``cap =
+    min(share, denom)`` is its BPJR knapsack cap and ``ceiling =
+    fit_bound(cap)`` bounds every knapsack weight under that cap.
+
+    ``claims`` tells whether the group reaches level 1, that is whether
+    its top level ``min(share, W)``, with ``W`` the weight of its common
+    items, is not short of 1.  That depends on ``k`` alone: a nonempty
+    common set weighs at least the cheapest cost, which ``Instance`` holds
+    within ``TOL`` of 1 (``model.is_unit``, where ``c - 1.0`` is exact), so
+    ``W`` never falls short of 1.
+    """
+    out = []
+    for k in range(n + 1):
+        share = k * denom / n
+        cap = min(share, denom)
+        out.append((share, cap, fit_bound(cap), not falls_short(share, 1.0)))
+    return tuple(out)
+
+
 class _GroupTable:
     """Everything the checkers need from ``(inst, profile)`` alone, built
     once per public call and shared by every selection it checks: approver
     masks, memoized subset weights and cheapest item costs, one knapsack
-    cache keyed by (item mask, cap), on first use the voters' ballot masks,
-    the cohesive groups of :func:`_cohesive_groups` and their largest-size
-    classes, and the :meth:`claims` of the latest denominator of each
-    variant and mode.  It keeps no profile and reads a
-    selection as an admitted ``(item mask, total)`` pair (:func:`_selection`).
+    cache keyed by (item mask, cap), the :func:`_sizes` tables of the two
+    latest denominators, and on first use the voters' ballot masks, the
+    cohesive groups of :func:`_cohesive_groups` and their largest-size
+    classes.  None of these reads a selection, so any number of reads may
+    interleave.  It keeps no profile and reads a selection as an admitted
+    ``(item mask, total)`` pair (:func:`_selection`).
     """
 
     def __init__(self, inst: Instance, profile: Profile) -> None:
@@ -307,9 +331,9 @@ class _GroupTable:
         self.cheapest = MaskFold(inst.cost, min, math.inf)
         # heaviest(mask, cap): the knapsack over the items in mask, memoized
         self.heaviest = cache(partial(_max_bundle_over, inst.cost))
-        # (variant, verdict_only) -> (denominator, entries, claims built,
-        # entries unread, {size: (share, cap, ceiling)})
-        self._claims_held: dict[tuple[str, bool], tuple[float, list, list[tuple], Iterator, dict]] = {}
+        # sizes(denom): the _sizes table of a denominator, memoized for the
+        # two latest, so that a limit and a total can alternate
+        self.sizes = lru_cache(maxsize=2)(partial(_sizes, self.n))
 
     @cached_property
     def ballots(self) -> list[int]:
@@ -371,28 +395,28 @@ class _GroupTable:
         costs only grows as items join it.  A group of ``k`` voters that
         shares item ``c`` lies among ``c``'s approvers, so its represented
         weight is at least the ``k``-th smallest ``r`` among them.  Its
-        level and cap are at most ``share = k * denom / n``, the float
-        :meth:`claims` forms, its room is at most ``share - r``, and each of
-        its common items costs at least the cheapest item.  ``falls_short``
-        and ``fits`` are monotone, so no group sharing ``c`` violates
-        Strong-BPJR unless some such ``r`` falls short of its share, BPJR
-        unless one falls short of ``fit_bound`` of its cap, which no
-        knapsack weight passes, and Local-BPJR unless the cheapest item
-        fits in some ``share - r``;
-        ``c`` is owed iff one does.  This costs a sort of each item's
-        approvers, so it serves a single selection.
+        level and cap are at most its share ``k * denom / n``, read off the
+        same :func:`_sizes` table as the sweep's, its room is at most
+        ``share - r``, and each of its common items costs at least the
+        cheapest item.  ``falls_short`` and ``fits`` are monotone, so no
+        group sharing ``c`` violates Strong-BPJR unless some such ``r``
+        falls short of its share, BPJR unless one falls short of its
+        cap's ceiling, which no knapsack weight passes, and Local-BPJR
+        unless the cheapest item fits in some ``share - r``; ``c`` is owed
+        iff one does.  This costs a sort of each item's approvers, so it
+        serves a single selection.
         """
-        n, weights = self.n, self.weights
+        sizes, weights = self.sizes(denom), self.weights
         per_voter = [weights[ballot & selected] for ballot in self.ballots]
         cheapest = min(self.inst.cost)
         owed = 0
         for c, approvers in enumerate(self.approvers):
             for k, r in enumerate(sorted(per_voter[v] for v in bits(approvers)), 1):
-                share = k * denom / n
+                share, _, ceiling, _ = sizes[k]
                 if family == "strong-bpjr":
                     short = falls_short(r, share)
                 elif family == "bpjr":
-                    short = falls_short(r, fit_bound(min(share, denom)))
+                    short = falls_short(r, ceiling)
                 else:
                     short = fits(cheapest, share - r)
                 if short:
@@ -442,45 +466,6 @@ class _GroupTable:
                 represented = union & selected
                 return common & owed != 0 and represented & ~common == 0 and represented != common
         return _cohesive_groups(self.ballots, descend)
-
-    def claims(self, variant: str, denom: float, verdict_only: bool, entries: list) -> Iterator[tuple]:
-        """The entries that claim level 1 at ``denom``, as ``(voters,
-        common, union, level, cap, ceiling)``, in entry order: of
-        ``entries``, which are :attr:`classes` for a verdict, and for a
-        report :attr:`groups` or the :meth:`pruned_groups` of one selection.
-
-        ``level`` is the top level an entry claims in Strong-BPJR and BPJR
-        alike, ``cap`` its BPJR knapsack cap and ``ceiling`` that cap's
-        ``fit_bound``, which no knapsack weight passes; the share behind
-        the level, the cap and the ceiling are worked out once per group
-        size.  None of them
-        reads the selection, so one list serves every selection with this
-        denominator.  Each (variant, mode) slot holds the list of its
-        latest denominator and entries only, and builds it as it is read:
-        a verdict that stops at its first violation builds no further, and
-        the next read goes on from there.  So two reads of one slot must not
-        interleave; :meth:`holds` drops its read at the first violation
-        and :meth:`report` reads to the end.
-        """
-        slot = (variant, verdict_only)
-        held = self._claims_held.get(slot)
-        if held is None or held[0] != denom or held[1] is not entries:
-            held = self._claims_held[slot] = (denom, entries, [], iter(entries), {})
-        _, _, claims, unread, by_size = held
-        yield from claims
-        weights = self.weights
-        for voters, common, union in unread:
-            sized = by_size.get(len(voters))
-            if sized is None:
-                share = len(voters) * denom / self.n
-                cap = min(share, denom)
-                sized = by_size[len(voters)] = share, cap, fit_bound(cap)
-            share, cap, ceiling = sized
-            level = min(share, weights[common])
-            if not falls_short(level, 1.0):
-                claim = voters, common, union, level, cap, ceiling
-                claims.append(claim)
-                yield claim
 
     def report(self, selection: tuple[int, float], axiom: AxiomId, pruned: bool = False) -> AxiomReport:
         """The checker's report, witness included, for one selection.  With
@@ -583,15 +568,23 @@ class _GroupTable:
             entries = self.classes
         else:
             entries = self.pruned_groups(selected, family, denom) if pruned else self.groups
+        sizes = self.sizes(denom)
         if family == "strong-bpjr":
-            # the claimable levels form an interval; test its top
-            for voters, common, union, level, _, _ in self.claims(axiom.variant, denom, verdict_only, entries):
+            # the claimable levels form an interval; test its top, min(share,
+            # weights[common]): rounding is monotone, so a weight falls short
+            # of the smaller of two needs iff it falls short of both
+            for voters, common, union in entries:
+                share, _, _, claims = sizes[len(voters)]
                 represented = weights[union & selected]
-                if falls_short(represented, level):
+                if claims and falls_short(represented, share) and falls_short(represented, weights[common]):
+                    level = min(share, weights[common])
                     yield level - represented, voters, (level, common, common, represented, level)
         elif family == "bpjr":
             # the bundle maximizer is monotone in the cap; test the top level
-            for voters, common, union, level, cap, ceiling in self.claims(axiom.variant, denom, verdict_only, entries):
+            for voters, common, union in entries:
+                share, cap, ceiling, claims = sizes[len(voters)]
+                if not claims:
+                    continue
                 represented = weights[union & selected]
                 # falls_short is monotone in its second argument and the
                 # knapsack's weight fits the cap: an entry that covers the
@@ -600,6 +593,7 @@ class _GroupTable:
                     continue
                 threshold, bundle = self.heaviest(common, cap)
                 if falls_short(represented, threshold):
+                    level = min(share, weights[common])
                     yield threshold - represented, voters, (level, common, bundle, represented, threshold)
         else:
             cheapest = self.cheapest
@@ -613,7 +607,7 @@ class _GroupTable:
                 represented = weights[represented_mask]
                 # tested as the knapsack tests it, so a group that passes
                 # always gets a nonempty extension
-                room = len(voters) * denom / n - represented
+                room = sizes[len(voters)][0] - represented
                 if not fits(cheapest[rest], room):
                     continue
                 extension, extra = self.heaviest(rest, room)

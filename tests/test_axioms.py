@@ -33,8 +33,20 @@ from probud.errors import (
     ProbudError,
     TooLargeForExact,
 )
-from probud.harness import GenSpec, parse_instance
-from probud.model import ALL_AXIOMS, TOL, AxiomId, Budget, Instance, Profile, fit_bound, fits, is_feasible, normalize
+from probud.harness import GenSpec, generate, parse_instance
+from probud.model import (
+    ALL_AXIOMS,
+    TOL,
+    AxiomId,
+    Budget,
+    Instance,
+    Profile,
+    fit_bound,
+    fits,
+    is_feasible,
+    is_unit,
+    normalize,
+)
 from probud.oracle import certify_existence, enumerate_feasible, replay_witnesses, verify_implications
 from probud.rules import bpjr_construct, gpseq, greedy_bjr_l, min_max_load
 
@@ -828,8 +840,9 @@ def test_bpjr_family_reports_match_voter_level_reference():
 
 
 def test_bpjr_family_reports_match_the_reference_at_tolerance_boundaries():
-    # the BPJR exit and the per-denominator claims round as the reference's
-    # one-group-at-a-time sweep does where limits sit on subset sums
+    # the BPJR exit and the per-size shares, caps and claims round as the
+    # reference's one-group-at-a-time sweep does where limits sit on subset
+    # sums
     violations = 0
     for seed in BOUNDARY_SEEDS:
         inst, profile, budget = boundary_instance(seed)
@@ -1129,9 +1142,10 @@ def test_the_local_bpjr_certificate_reads_the_cheapest_cost():
 
 
 def test_a_shared_group_table_answers_as_fresh_calls_in_any_budget_order():
-    # one table holds the claims of its latest denominator per variant and
-    # mode; fed every feasible budget in shuffled order, so that "w" totals
-    # interleave and come back, it must answer as a fresh call each time
+    # one table memoizes the per-size shares of its two latest denominators;
+    # fed every feasible budget in shuffled order, so that "w" totals
+    # interleave, fall out of the memo and come back, it must answer as a
+    # fresh call each time
     from probud._bits import mask_of
     from probud.axioms import _GroupTable
 
@@ -1155,6 +1169,120 @@ def test_a_shared_group_table_answers_as_fresh_calls_in_any_budget_order():
                     f"seed {seed} {axiom} on {sorted(budget.selected)}"
                 )
     assert returns > 400, returns
+
+
+def _read_in_turn(*streams):
+    """Each stream's items, read one item of each stream in turn."""
+    reads = [[] for _ in streams]
+    pending = list(zip(reads, streams))
+    while pending:
+        for read, stream in list(pending):
+            item = next(stream, None)
+            if item is None:
+                pending.remove((read, stream))
+            else:
+                read.append(item)
+    return reads
+
+
+def test_violation_streams_of_one_table_may_interleave():
+    # two reads of one table's Strong-BPJR or BPJR violations, each on its
+    # own selection, must each yield what a read of a fresh table yields,
+    # in verdict and in report mode, with the limit or two totals shared
+    from probud._bits import mask_of
+    from probud.axioms import _GroupTable
+
+    axioms = [a for a in BPJR_AXIOMS if a.family != "local-bpjr"]
+    streams = violations = 0
+    for seed in range(40):
+        inst, profile = suite_instance(seed)
+        selections = [(mask_of(b.selected), b.total_cost) for b in enumerate_feasible(inst)]
+        for axiom in axioms:
+            for verdict_only in (True, False):
+                alone = [list(_GroupTable(inst, profile)._violations(s, axiom, verdict_only)) for s in selections]
+                for i in range(len(selections) - 1):
+                    table = _GroupTable(inst, profile)
+                    both = _read_in_turn(*(table._violations(s, axiom, verdict_only) for s in selections[i:i + 2]))
+                    assert both == alone[i:i + 2], f"seed {seed} {axiom} verdict_only={verdict_only} budget {i}"
+                    streams += 2
+                    violations += len(both[0]) + len(both[1])
+    assert streams > 3000 and violations > 10_000, (streams, violations)
+
+
+def _denominator_of(share, k, n):
+    """A denominator ``d`` whose share ``k * d / n`` is ``share``, stepped
+    one ulp at a time from ``n * share / k``."""
+    d = n * share / k
+    for _ in range(8):
+        got = k * d / n
+        if got == share:
+            return d
+        d = math.nextafter(d, math.inf if got < share else -math.inf)
+    raise AssertionError(f"no denominator gives share {share!r} to {k} of {n} voters")
+
+
+def test_a_group_claims_by_its_size_alone_at_the_tolerance_boundary():
+    # The cheapest cost is the smallest float that is_unit accepts, so a
+    # common-item set of that item alone weighs as little as any can, and
+    # a group of k voters sharing it has its share k * d / n at 1 - TOL or
+    # one ulp either side, where d is both the limit and the spend of the
+    # budget {c1}.  The claim test reads the share alone, the reference
+    # reads min(share, common weight): they must agree on every budget.
+    cheapest = 1.0 - TOL
+    while is_unit(math.nextafter(cheapest, 0.0)):
+        cheapest = math.nextafter(cheapest, 0.0)
+    while not is_unit(cheapest):
+        cheapest = math.nextafter(cheapest, 2.0)
+    edge = 1.0 - TOL
+    claimed = unclaimed = 0
+    for share in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)):
+        for k, n in ((1, 2), (1, 4), (2, 4), (3, 4), (4, 7)):
+            d = _denominator_of(share, k, n)
+            inst = Instance(("c0", "c1"), (cheapest, d), d)
+            # the k voters share c0 alone; the rest approve c1, both items or
+            # none
+            for rest in ({1}, {0, 1}, set()):
+                profile = Profile.of([{0}] * k + [rest] * (n - k))
+                for budget in enumerate_feasible(inst):
+                    verdicts = evaluate_axioms(inst, profile, budget)
+                    for axiom in BPJR_AXIOMS:
+                        if axiom.family == "local-bpjr":
+                            continue
+                        report = check_axiom(inst, profile, budget, axiom)
+                        where = f"share {share!r}, {k} of {n}, rest {rest}, {axiom} on {sorted(budget.selected)}"
+                        assert report == reference_bpjr_report(inst, profile, budget, axiom), where
+                        assert verdicts[axiom] == report.satisfied, where
+            # alone and unrepresented on the empty budget, the k voters are
+            # owed level 1 exactly where their share is not short of it
+            report = check_axiom(inst, profile, Budget.of(inst, []), AxiomId("strong-bpjr", "l"))
+            if share < edge:
+                assert report.satisfied
+                unclaimed += 1
+            else:
+                assert report.witness.voters == frozenset(range(k))
+                claimed += 1
+    assert (claimed, unclaimed) == (10, 5)
+
+
+def test_a_shared_group_table_holds_at_most_two_denominators():
+    # a uniform-cost instance has nearly as many budget totals as feasible
+    # budgets; the table reads each in both variants and keeps two tables
+    # of shares, the limit's and the latest total's
+    from probud._bits import mask_of
+    from probud.axioms import _GroupTable
+
+    inst, profile = generate(GenSpec(num_items=9, num_voters=6, cost_model="uniform", cost_high=3.0,
+                                     limit_fraction=0.5, seed=11))
+    table = _GroupTable(inst, profile)
+    budgets = enumerate_feasible(inst)
+    held = 0
+    for budget in budgets:
+        selection = (mask_of(budget.selected), budget.total_cost)
+        table.verdicts(selection)
+        table.report(selection, AxiomId("local-bpjr", "w"))
+        held = max(held, table.sizes.cache_info().currsize)
+    assert len({b.total_cost for b in budgets}) > 100
+    assert held == 2
 
 
 def _wide_common_instance(limit):
