@@ -29,15 +29,16 @@ fits iff that fold does.  Two exact shortcuts cut the BPJR families'
 work per budget.  A group's share, its knapsack cap and that cap's
 ceiling ``fit_bound(cap)``, and whether it claims level 1 at all, depend
 on its size and the denominator alone, so :func:`_sizes` tabulates them
-once per denominator, and every sweep and bound reads them there; a
-group table holds the tables of its two latest denominators, enough for
-the limit and one budget's total.  No bundle that
-:func:`_max_bundle_over` returns passes the ceiling, and ``falls_short``
-is monotone in the weight it compares with, so an entry whose
-represented weight is not short of the ceiling is not short of the
-knapsack's weight either, and BPJR skips its knapsack.  A
-:class:`probud._bits.MaskFold` memoizes subset weights, and another each
-mask's cheapest item cost that Local-BPJR tests.
+once per denominator, and every sweep, bound and up-front refusal reads
+them there; a group table holds the tables of its two latest
+denominators, enough for the limit and one budget's total.  A profile
+with no voters has no group, and every check of it holds before any
+share is formed.  No bundle that :func:`_max_bundle_over` returns
+passes the ceiling, and ``falls_short`` is monotone in the weight it
+compares with, so an entry whose represented weight is not short of the
+ceiling is not short of the knapsack's weight either, and BPJR skips its
+knapsack.  A :class:`probud._bits.MaskFold` memoizes subset weights, and
+another each mask's cheapest item cost that Local-BPJR tests.
 
 :func:`check_axiom` sweeps only the voter subsets below which a
 violation of its one selection can still lie
@@ -60,8 +61,8 @@ budget that is infeasible, names an unknown item or carries a
 and when a group whose bundles the check must maximize has more than
 ``MAX_EXACT_BUNDLE_ITEMS`` common items: for BPJR a group reaching level
 1, for Local-BPJR any group.  This holds whether or not another group
-already violates the axiom; with a zero denominator nothing is owed and
-nothing is raised.
+already violates the axiom; with a zero denominator or no voters
+nothing is owed and nothing is raised.
 
 Entitlement conventions, shared by every checker:
 
@@ -513,18 +514,19 @@ class _GroupTable:
                 f"exact subset sweep supports at most {MAX_EXACT_VOTERS} voters, got {self.n}"
             )
 
-    def _refuse(self, family: str, denom: float) -> None:
+    def _refuse(self, family: str, sizes: tuple) -> None:
         """Raise ``TooLargeForExact`` where a full BPJR-family sweep would
         hand the knapsack too many common items: those of every BPJR group
-        reaching level 1 and of every Local-BPJR group.  Called up front,
-        so that a verdict that stops early, or a certified one, raises
-        exactly as a full sweep does.  Strong-BPJR runs no knapsack, so
-        its groups are not read here, and Local-BPJR, which counts every
-        group, reads the ballots alone."""
+        whose size claims level 1 in ``sizes``, the :func:`_sizes` table of
+        the check's denominator, and of every Local-BPJR group.  Called up
+        front, so that a verdict that stops early, or a certified one,
+        raises exactly as a full sweep does.  Strong-BPJR runs no
+        knapsack, so its groups are not read here, and Local-BPJR, which
+        counts every group, reads the ballots alone."""
         if family == "local-bpjr":
             oversized = self._wide_ballot
         else:
-            oversized = family == "bpjr" and any(reaches(size, self.n, denom, 1.0) for size in self._oversized)
+            oversized = family == "bpjr" and any(sizes[size][3] for size in self._oversized)
         if oversized:
             raise TooLargeForExact(f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items")
 
@@ -543,8 +545,8 @@ class _GroupTable:
         family = axiom.family
         selected, total = selection
         denom = inst.limit if axiom.variant == "l" else total
-        if denom <= TOL:
-            return  # no group's entitlement reaches one unit
+        if denom <= TOL or not n:
+            return  # no voters, or no group's entitlement reaches one unit
 
         if family in _BJR_FAMILIES:
             represented = 0
@@ -563,12 +565,12 @@ class _GroupTable:
                 yield 1.0, voters, (1.0, common, 1 << item, 0.0, 1.0)
             return
 
-        self._refuse(family, denom)
+        sizes = self.sizes(denom)
+        self._refuse(family, sizes)
         if verdict_only:
             entries = self.classes
         else:
             entries = self.pruned_groups(selected, family, denom) if pruned else self.groups
-        sizes = self.sizes(denom)
         if family == "strong-bpjr":
             # the claimable levels form an interval; test its top, min(share,
             # weights[common]): rounding is monotone, so a weight falls short

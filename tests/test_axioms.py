@@ -1261,6 +1261,21 @@ def test_a_group_claims_by_its_size_alone_at_the_tolerance_boundary():
             else:
                 assert report.witness.voters == frozenset(range(k))
                 claimed += 1
+            # with one item more in common than the knapsack takes, BPJR-L
+            # refuses up front exactly where the sweep would hand the k
+            # voters to it: where Strong-BPJR-L finds them owed level 1
+            many = MAX_EXACT_BUNDLE_ITEMS + 1
+            wide = Instance(tuple(f"c{j}" for j in range(many)), (cheapest,) + (1.0,) * (many - 1), d)
+            wide_profile = Profile.of([range(many)] * k + [set()] * (n - k))
+            empty = Budget.of(wide, [])
+            strong = check_axiom(wide, wide_profile, empty, AxiomId("strong-bpjr", "l"))
+            assert strong.satisfied == (share < edge)
+            if strong.satisfied:
+                assert check_axiom(wide, wide_profile, empty, AxiomId("bpjr", "l")).satisfied
+            else:
+                assert strong.witness.voters == frozenset(range(k))
+                with pytest.raises(TooLargeForExact):
+                    check_axiom(wide, wide_profile, empty, AxiomId("bpjr", "l"))
     assert (claimed, unclaimed) == (10, 5)
 
 
@@ -1331,3 +1346,22 @@ def test_check_axiom_rejects_a_budget_whose_total_disagrees_with_its_items():
             assert not check_axiom(inst, profile, Budget.of(inst, {0}), axiom).satisfied
             with pytest.raises(InvalidBudget):
                 check_axiom(inst, profile, Budget(frozenset({0}), 0.0), axiom)
+
+
+def test_every_axiom_holds_for_a_profile_with_no_voters():
+    # an instance file may list no ballots; with no voter there is no group
+    # to owe anything, so no check may form a share k * d / n
+    inst, profile = parse_instance(
+        "[meta]\nname = empty\nm = 3\nn = 0\nlimit = 3\n"
+        "[items]\nc1, c1, 2\nc2, c2, 2\nc3, c3, 1\n[ballots]\n"
+    )
+    assert profile == Profile(())
+    budgets = enumerate_feasible(inst)
+    assert len(budgets) == 6
+    for budget in budgets:
+        assert all(evaluate_axioms(inst, profile, budget).values())
+        for axiom in ALL_AXIOMS:
+            assert check_axiom(inst, profile, budget, axiom).satisfied, f"{axiom} on {sorted(budget.selected)}"
+    for axiom in ALL_AXIOMS:
+        assert len(certify_existence(inst, profile, axiom).satisfying_budgets) == 6
+    assert verify_implications(inst, profile, budgets) == []
