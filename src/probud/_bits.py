@@ -156,10 +156,6 @@ class _Tail:
         self.span = bound + sums[-1]
         self.by_position: dict = {}
 
-    def fold(self, total: float) -> float:
-        """``total`` plus every tail item: the heaviest entry of a block."""
-        return reduce(add, self.costs, total)
-
     def _cut(self, total: float) -> tuple[int, int]:
         """Positions ``lo <= hi`` in the sorted sums such that every ``T``
         before ``lo`` fits ``total`` and none from ``hi`` on (:func:`fold_cut`)."""
@@ -180,8 +176,6 @@ class _Tail:
 
     def fitting(self, total: float, lightest: float) -> Sequence[int]:
         """The nonempty ``T`` with ``total + T`` feasible, in lex order."""
-        if self.fold(total) <= self.bound:
-            return self.lex
         lo, hi = self._cut(total)
         kept = self.by_position.get(lo) if lo == hi else None
         if kept is None:
@@ -196,15 +190,11 @@ class _Tail:
         (no ``r | 1 << y`` fits), and that fit with no head item.  The
         head subset plus one head item outside it totals at least
         ``lightest``, so with ``T`` at least ``lightest + T``: rounded sums
-        are monotone in either operand.  So no ``T`` is exhaustive if
-        ``lightest`` plus the whole tail fits, and only the whole tail is
-        if it fits ``total``; otherwise the ``T`` that fit ``lightest``
-        are a second flag table, cut as the first."""
-        bound = self.bound
-        if self.fold(lightest) <= bound:
-            return ()
-        if self.fold(total) <= bound:
-            return ((1 << len(self.costs)) - 1,)
+        are monotone in either operand.  So the ``T`` that fit
+        ``lightest`` are a second flag table, cut as the first, and are
+        dropped.  Where the whole tail fits ``total``, every ``T`` does,
+        and the grow flags leave the whole tail alone; where it fits
+        ``lightest`` too, nothing is left."""
         lo, hi = self._cut(total)
         light_lo, light_hi = self._cut(lightest)
         shared = lo == hi and light_lo == light_hi

@@ -79,7 +79,8 @@ pure functions; verdicts are deterministic, and the reported witness is
 the maximum-deficit violation with the lexicographically smallest voter
 group.  Stream order alone settles ties: a report keeps the first violation
 whose deficit beats the best so far by more than ``TOL``, and BJR, where
-every deficit is one unit, streams in (voter tuple, item) order.
+every deficit is one unit, yields just the violation first in (voter
+tuple, item) order.
 """
 
 from __future__ import annotations
@@ -535,8 +536,10 @@ class _GroupTable:
     ) -> Iterator[tuple]:
         """The one source of violations for all ten axioms, as ``(deficit,
         voters, (level, common, bundle, represented, required))`` with masks
-        for the item sets.  BJR yields each item's wholly unrepresented
-        approvers, sorted by (voter tuple, item), before any group is read;
+        for the item sets.  BJR yields one violation, the wholly
+        unrepresented approvers of an item that are first by (voter tuple,
+        item), before any group is read: every BJR deficit is one unit, so
+        a report keeps the first and a verdict stops at it;
         the BPJR families yield violating entries in entry order, of
         :attr:`classes` for a verdict, and for a witness of :attr:`groups`,
         or with ``pruned`` of the :meth:`pruned_groups` of this selection.
@@ -559,7 +562,8 @@ class _GroupTable:
                 group = voters & ~represented
                 if group and reaches(group.bit_count(), n, denom, 1.0):
                     qualifying.append((tuple(bits(group)), c, group))
-            for voters, item, group in sorted(qualifying):
+            if qualifying:  # every deficit is one unit: the first one is kept
+                voters, item, group = min(qualifying)
                 # the items whose approvers include the whole group
                 common = mask_of(c for c, approvers in enumerate(self.approvers) if not group & ~approvers)
                 yield 1.0, voters, (1.0, common, 1 << item, 0.0, 1.0)
@@ -720,20 +724,12 @@ def _implication_edges() -> tuple[tuple[AxiomId, AxiomId], ...]:
 IMPLICATION_EDGES: tuple[tuple[AxiomId, AxiomId], ...] = _implication_edges()
 
 
-def _transitive_closure() -> dict[AxiomId, frozenset[AxiomId]]:
-    reach = {a: {a} for a in ALL_AXIOMS}
-    changed = True
-    while changed:
-        changed = False
-        for stronger, weaker in IMPLICATION_EDGES:
-            add = reach[weaker] - reach[stronger]
-            if add:
-                reach[stronger] |= add
-                changed = True
-    return {a: frozenset(r) for a, r in reach.items()}
+def _reach(a: AxiomId) -> frozenset[AxiomId]:
+    """``a`` and every axiom it implies; the edges form no cycle."""
+    return frozenset({a}).union(*(_reach(weaker) for stronger, weaker in IMPLICATION_EDGES if stronger == a))
 
 
-_IMPLIES: dict[AxiomId, frozenset[AxiomId]] = _transitive_closure()
+_IMPLIES: dict[AxiomId, frozenset[AxiomId]] = {a: _reach(a) for a in ALL_AXIOMS}
 
 
 def implied_by(a: AxiomId, b: AxiomId) -> bool:

@@ -124,22 +124,11 @@ def _emit(record: dict, as_json: bool, human_lines: list[str]) -> None:
 def _cmd_solve(args) -> int:
     f = _load(args.file)
     inst, profile = f.to_model()
-    max_loads = None
-    steps_record = None
-    filled: tuple[int, ...] = ()
-    if args.rule == "gpseq":
+    gpseq = args.rule == "gpseq"
+    steps, filled = (), ()  # only gpseq takes steps and fills
+    if gpseq:
         budget, trace = rules.gpseq(inst, profile, tie=args.tie, fill_unapproved=args.fill_unapproved)
-        max_loads = [step.loads[step.chosen] for step in trace.steps]
-        filled = trace.filled
-        if args.trace:
-            steps_record = [
-                {
-                    "chosen": f.item_ids[step.chosen],
-                    "loads": {f.item_ids[c]: step.loads[c] for c in sorted(step.loads)},
-                    "tie_set": [f.item_ids[c] for c in sorted(step.tie_set)],
-                }
-                for step in trace.steps
-            ]
+        steps, filled = trace.steps, trace.filled
     elif args.rule == "greedy-bjr":
         budget = rules.greedy_bjr_l(inst, profile)
     else:
@@ -149,37 +138,39 @@ def _cmd_solve(args) -> int:
         "command": "solve",
         "file": args.file,
         "rule": args.rule,
-        "tie": args.tie if args.rule == "gpseq" else None,
-        "fill_unapproved": bool(args.fill_unapproved) if args.rule == "gpseq" else None,
+        "tie": args.tie if gpseq else None,
+        "fill_unapproved": bool(args.fill_unapproved) if gpseq else None,
         "budget": _budget_names(f, budget),
         "total_cost": budget.total_cost,
         "feasible": is_feasible(inst, budget),
         "exhaustive": is_exhaustive(inst, budget),
-        "max_loads": max_loads,
+        "max_loads": [step.loads[step.chosen] for step in steps] if gpseq else None,
         "filled": [f.item_ids[c] for c in filled],
-        "steps": steps_record,
+        "steps": [
+            {
+                "chosen": f.item_ids[step.chosen],
+                "loads": {f.item_ids[c]: step.loads[c] for c in sorted(step.loads)},
+                "tie_set": [f.item_ids[c] for c in sorted(step.tie_set)],
+            }
+            for step in steps
+        ] if gpseq and args.trace else None,
     }
     lines = [
-        f"rule: {args.rule}" + (f" (tie: {args.tie})" if args.rule == "gpseq" else ""),
+        f"rule: {args.rule}" + (f" (tie: {args.tie})" if gpseq else ""),
         "budget: {" + ", ".join(record["budget"]) + "}",
         f"total cost: {_fmt(budget.total_cost)} (limit {_fmt(f.raw_limit)} raw, {_fmt(inst.limit)} normalized)",
         f"feasible: {record['feasible']}   exhaustive: {record['exhaustive']}",
     ]
-    if max_loads is not None:
+    for k, step in enumerate(steps, 1):
+        chosen, load = f.item_ids[step.chosen], _fmt(step.loads[step.chosen])
         if args.trace:
-            for k, step in enumerate(trace.steps, 1):
-                cand = ", ".join(f"{f.item_ids[c]}={_fmt(step.loads[c])}" for c in sorted(step.loads))
-                ties = ", ".join(f.item_ids[c] for c in sorted(step.tie_set))
-                lines.append(
-                    f"step {k}: chose {f.item_ids[step.chosen]} (max load {_fmt(step.loads[step.chosen])};"
-                    f" candidates {cand}; tie set {{{ties}}})"
-                )
+            cand = ", ".join(f"{f.item_ids[c]}={_fmt(step.loads[c])}" for c in sorted(step.loads))
+            ties = ", ".join(f.item_ids[c] for c in sorted(step.tie_set))
+            lines.append(f"step {k}: chose {chosen} (max load {load}; candidates {cand}; tie set {{{ties}}})")
         else:
-            for k, load in enumerate(max_loads, 1):
-                lines.append(f"step {k}: chose {f.item_ids[trace.steps[k - 1].chosen]}"
-                             f" (optimal max load {_fmt(load)})")
-        if filled:
-            lines.append("filled (unapproved): " + ", ".join(f.item_ids[c] for c in filled))
+            lines.append(f"step {k}: chose {chosen} (optimal max load {load})")
+    if filled:
+        lines.append("filled (unapproved): " + ", ".join(record["filled"]))
     _emit(record, args.as_json, lines)
     return 0
 
@@ -191,23 +182,14 @@ def _parse_budget_arg(f: harness.InstanceFile, text: str, inst) -> Budget:
 
 
 def _witness_fields(f: harness.InstanceFile, report: axioms.AxiomReport) -> dict:
-    w = report.witness
-    if w is None:
-        return {
-            "witness_voters": None,
-            "witness_level": None,
-            "witness_common_items": None,
-            "witness_bundle": None,
-            "witness_represented_weight": None,
-            "witness_required_weight": None,
-        }
+    w = report.witness  # each field is None where no violation was found
     return {
-        "witness_voters": [f.voter_ids[i] for i in sorted(w.voters)],
-        "witness_level": w.level,
-        "witness_common_items": [f.item_ids[i] for i in sorted(w.common_items)],
-        "witness_bundle": [f.item_ids[i] for i in sorted(w.witness_bundle)],
-        "witness_represented_weight": w.represented_weight,
-        "witness_required_weight": w.required_weight,
+        "witness_voters": w and [f.voter_ids[i] for i in sorted(w.voters)],
+        "witness_level": w and w.level,
+        "witness_common_items": w and [f.item_ids[i] for i in sorted(w.common_items)],
+        "witness_bundle": w and [f.item_ids[i] for i in sorted(w.witness_bundle)],
+        "witness_represented_weight": w and w.represented_weight,
+        "witness_required_weight": w and w.required_weight,
     }
 
 

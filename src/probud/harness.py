@@ -90,15 +90,11 @@ def parse_instance_file(text: str) -> InstanceFile:
     if not isinstance(text, str):
         raise ParseError(f"expected the file's text, got a {type(text).__name__}")
     section = None
-    meta: dict[str, str] = {}
-    meta_lines: dict[str, int] = {}
-    item_ids: list[str] = []
+    meta: dict[str, tuple[str, int]] = {}  # key -> (value, line)
+    id_to_index: dict[str, int] = {}
     item_names: list[str] = []
     raw_costs: list[float] = []
-    id_to_index: dict[str, int] = {}
-    voter_ids: list[str] = []
-    seen_voters: set[str] = set()
-    ballots: list[frozenset[int]] = []
+    ballots: dict[str, frozenset[int]] = {}  # voter id -> ballot, in file order
 
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.strip()
@@ -121,8 +117,7 @@ def parse_instance_file(text: str) -> InstanceFile:
                 raise ParseError(f"unknown meta key {key!r}", lineno)
             if key in meta:
                 raise ParseError(f"duplicate meta key {key!r}", lineno)
-            meta[key] = value.strip()
-            meta_lines[key] = lineno
+            meta[key] = value.strip(), lineno
         elif section == "items":
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 3:
@@ -133,58 +128,49 @@ def parse_instance_file(text: str) -> InstanceFile:
             if item_id in id_to_index:
                 raise DuplicateItem(f"item id {item_id!r} declared twice", lineno)
             try:
-                cost = float(cost_text)
+                raw_costs.append(float(cost_text))
             except ValueError:
                 raise ParseError(f"bad cost {cost_text!r}", lineno) from None
-            id_to_index[item_id] = len(item_ids)
-            item_ids.append(item_id)
+            id_to_index[item_id] = len(item_names)
             item_names.append(item_name or item_id)
-            raw_costs.append(cost)
         else:
-            parts = [p.strip() for p in line.split(",")]
-            voter_id = parts[0]
+            voter_id, *tokens = [p.strip() for p in line.split(",")]
             if not voter_id:
                 raise ParseError("missing voter id", lineno)
-            if voter_id in seen_voters:
+            if voter_id in ballots:
                 raise ParseError(f"duplicate voter id {voter_id!r}", lineno)
-            approved = set()
-            for token in parts[1:]:
-                if not token:
-                    continue
-                if token not in id_to_index:
-                    raise ParseError(f"unknown item id {token!r}", lineno)
-                approved.add(id_to_index[token])
-            seen_voters.add(voter_id)
-            voter_ids.append(voter_id)
-            ballots.append(frozenset(approved))
+            try:  # the first unknown token is the one named
+                ballots[voter_id] = frozenset([id_to_index[token] for token in tokens if token])
+            except KeyError as exc:
+                raise ParseError(f"unknown item id {exc.args[0]!r}", lineno) from None
 
     if "limit" not in meta:
         raise ParseError("missing 'limit' in [meta]")
+    limit_text, limit_line = meta["limit"]
     try:
-        raw_limit = float(meta["limit"])
+        raw_limit = float(limit_text)
     except ValueError:
-        raise ParseError(f"bad limit {meta['limit']!r}", meta_lines["limit"]) from None
-    for key, expected in (("m", len(item_ids)), ("n", len(voter_ids))):
+        raise ParseError(f"bad limit {limit_text!r}", limit_line) from None
+    for key, expected in (("m", len(item_names)), ("n", len(ballots))):
         if key in meta:
+            value, line = meta[key]
             try:
-                declared = int(meta[key])
+                declared = int(value)
             except ValueError:
-                raise ParseError(f"bad {key} {meta[key]!r}", meta_lines[key]) from None
+                raise ParseError(f"bad {key} {value!r}", line) from None
             if declared != expected:
-                raise ParseError(
-                    f"meta declares {key}={declared} but file has {expected}", meta_lines[key]
-                )
-    if not item_ids:
+                raise ParseError(f"meta declares {key}={declared} but file has {expected}", line)
+    if not item_names:
         raise ParseError("no items declared")
 
     return InstanceFile(
-        name=meta.get("name", ""),
-        item_ids=tuple(item_ids),
+        name=meta.get("name", ("",))[0],
+        item_ids=tuple(id_to_index),
         item_names=tuple(item_names),
         raw_costs=tuple(raw_costs),
         raw_limit=raw_limit,
-        voter_ids=tuple(voter_ids),
-        ballots=tuple(ballots),
+        voter_ids=tuple(ballots),
+        ballots=tuple(ballots.values()),
     )
 
 
@@ -333,15 +319,13 @@ def generate_file(spec: GenSpec, name: str = "generated") -> InstanceFile:
         g = spec.group_count
         item_chunk = [min(g - 1, c * g // m) for c in range(m)]
         voter_bloc = [min(g - 1, i * g // n) for i in range(n)]
-        ballots = []
-        for i in range(n):
-            approved = {c for c in range(m) if item_chunk[c] == voter_bloc[i]}
-            approved |= {
-                c
-                for c in range(m)
-                if item_chunk[c] != voter_bloc[i] and rng.random() < spec.group_overlap
-            }
-            ballots.append(frozenset(approved))
+        # an item outside the voter's chunk draws once, in item order
+        ballots = [
+            frozenset(
+                c for c in range(m) if item_chunk[c] == voter_bloc[i] or rng.random() < spec.group_overlap
+            )
+            for i in range(n)
+        ]
 
     raw_limit = spec.limit_fraction * reduce(add, costs, 0.0)
     if not math.isfinite(raw_limit):

@@ -214,22 +214,19 @@ def min_max_load(inst: Instance, profile: Profile, selected: Iterable[int]) -> L
     approvers = _require_profile(inst, profile)
     chosen = frozenset(_iterable(selected, InvalidBudget, "the selected items"))
     _require_items(inst, chosen)
-    return _min_max_load(inst, approvers, profile.num_voters, chosen)
-
-
-def _min_max_load(
-    inst: Instance, approvers: Sequence[int], num_voters: int, selected: Iterable[int]
-) -> LoadAssignment:
-    """:func:`min_max_load` on checked approver masks and item set."""
-    items = sorted(selected)
+    items = sorted(chosen)
     types: list[int] = []
     for c in items:
         if not approvers[c]:
             raise NoApprover(f"item {inst.names[c]!r} has no approving voter")
         types = _split(types, approvers[c])
-    if not items:
-        return LoadAssignment({}, (0.0,) * num_voters, 0.0, frozenset())
-    return _load_assignment(items, types, num_voters, _optimal_load(inst, approvers, items, types))
+    network = _optimal_load(inst, approvers, items, types) if items else _NO_NETWORK
+    return _load_assignment(items, types, profile.num_voters, network)
+
+
+#: The network of the empty selection, as :func:`_optimal_load` returns one:
+#: it carries nothing, so its spread is the empty one.
+_NO_NETWORK = (0.0, frozenset(), (), ())
 
 
 def _load_assignment(
@@ -364,6 +361,7 @@ def gpseq(
     selected: set[int] = set()
     types: list[int] = []  # the selection's ballot types, as voter bitmasks
     steps: list[SequentialStep] = []
+    picked = _NO_NETWORK
     while True:
         candidates = [
             c
@@ -388,10 +386,7 @@ def gpseq(
         picked = networks[chosen]
 
     # the last pick's network is the whole selection's, its flow a spread
-    if steps:
-        assignment = _load_assignment(sorted(selected), types, profile.num_voters, picked)
-    else:
-        assignment = _min_max_load(inst, approvers, profile.num_voters, ())
+    assignment = _load_assignment(sorted(selected), types, profile.num_voters, picked)
     unapproved = [c for c in range(inst.num_items) if not approvers[c]]
     filled = _fill(inst, selected, unapproved) if fill_unapproved else []
 

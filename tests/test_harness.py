@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -85,14 +86,37 @@ def test_parse_errors_carry_line_numbers():
     ("[meta]\nlimit = 2\nn = two\n[items]\na, a, 1\n", 3, "bad n 'two'"),
     ("[meta]\nname = x\n[items]\na, a, 1\n", None, "missing 'limit' in [meta]"),
     ("[meta]\nlimit = 2\n[items]\n[ballots]\n", None, "no items declared"),
+    # a ballot reads only the items declared above it
+    ("[meta]\nlimit = 2\n[items]\na, a, 1\n[ballots]\n1, b\n[items]\nb, b, 1\n", 6, "unknown item id 'b'"),
+    ("[meta]\nlimit = 2\n[items]\na, a, 1\n[ballots]\n1, a, zz, yy\n", 6, "unknown item id 'zz'"),
+    ("[meta]\nlimit = 2\n[items]\na, a, 1\n[ballots]\n1, a\n1, zz\n", 7, "duplicate voter id '1'"),
+    ("[meta]\nlimit = 2\nn = 3\n[items]\na, a, 1\n[ballots]\n1, a\n", 3, "meta declares n=3 but file has 1"),
 ], ids=["unknown-section", "before-section", "no-equals", "unknown-key", "duplicate-key",
         "missing-item-id", "bad-cost", "missing-voter-id", "bad-limit", "bad-count",
-        "missing-limit", "no-items"])
+        "missing-limit", "no-items", "item-declared-later", "first-unknown-item",
+        "duplicate-before-unknown-item", "voter-count"])
 def test_parse_error_names_its_line(text, line, message):
     with pytest.raises(ParseError) as err:
         parse_instance_file(text)
     assert err.value.line == line
     assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_repeated_sections_extend_the_earlier_ones():
+    # the counts in [meta] are judged against the whole file
+    text = (
+        "[meta]\nlimit = 5\nm = 2\nn = 2\n[items]\na, a, 1\n[ballots]\n1, a\n"
+        "[items]\nb, bee, 2\n[ballots]\n2, b, a\n[meta]\nname = x\n"
+    )
+    assert parse_instance_file(text) == InstanceFile(
+        name="x",
+        item_ids=("a", "b"),
+        item_names=("a", "bee"),
+        raw_costs=(1.0, 2.0),
+        raw_limit=5.0,
+        voter_ids=("1", "2"),
+        ballots=(frozenset({0}), frozenset({0, 1})),
+    )
 
 
 def test_parse_duplicate_item_id():
@@ -180,6 +204,23 @@ def test_round_trip_holds_across_generator_models():
                     )
                 )
                 assert parse_instance_file(serialize_instance_file(f)) == f
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (dict(num_items=9, num_voters=12, group_count=3, group_overlap=0.25, seed=1),
+     "9e6095dfa70e0f6f55f80deda29681db6f425196e636b908d6af8f43196ab19d"),
+    (dict(num_items=14, num_voters=40, group_count=4, group_overlap=0.1, cost_model="uniform", seed=7),
+     "e154d15855e50181131a4af666ef5757ab279a26049e80ee586ca5ad555b3361"),
+    (dict(num_items=6, num_voters=25, group_count=2, group_overlap=0.6, cost_model="heavy-tail", seed=42),
+     "6bfbb3725b4b5940f0c0015f08475971583052c16a67035c1f5aa26e4f8e67f9"),
+    (dict(num_items=20, num_voters=9, group_count=5, group_overlap=0.45, limit_fraction=0.3, seed=2027),
+     "8d7c70857260ed16fe8e0fb381cc2bc6e25e2d517c13ba7e0a30d0d292853b61"),
+], ids=["m9", "m14-uniform", "m6-heavy-tail", "m20"])
+def test_group_ballots_keep_their_draws(spec, digest):
+    # each item outside a voter's chunk draws once, in item order: a change
+    # of that order changes the generated files that benchmarks rely on
+    text = serialize_instance_file(generate_file(GenSpec(ballot_model="groups", **spec), name="pin"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_generate_is_deterministic():
