@@ -3,9 +3,10 @@
 Each checker returns an :class:`AxiomReport`: a verdict plus, on
 violation, an :class:`AxiomWitness` naming the under-represented voter
 group, the entitlement level it reaches, and the bundle that proves the
-deficit.  All ten axioms read one violation stream,
-``_GroupTable._violations``: polynomial for the BJR families, an exact
-sweep over all cohesive voter groups for the BPJR families, which is
+deficit.  All ten reports read one violation stream,
+``_GroupTable._violations``, and all ten verdicts one verdict routine,
+``_GroupTable._decide``: polynomial for the BJR families, an exact sweep
+over all cohesive voter groups for the BPJR families, which is
 exponential and therefore gated by hard size caps (``MAX_EXACT_VOTERS``
 voters, ``MAX_EXACT_BUNDLE_ITEMS`` items per common-item set).
 
@@ -18,20 +19,23 @@ deficit, so no verdict or witness changes, and memory grows with the
 entries, not the groups.  The table reads a selection as an ``(item
 mask, total)`` pair: :func:`check_axiom`, :func:`evaluate_axioms` and
 ``verify_implications`` admit a caller's ``Budget`` once, and the other
-oracle calls feed in the feasible-subset walk's pairs.  A verdict stops
-at the first violation and reads just the largest size of each (common
-items, union) class, since every violation test is monotone in group
-size.
+oracle calls feed in the feasible-subset walk's pairs.  A verdict reads
+just the largest size of each (common items, union) class, since every
+violation test is monotone in group size, and stops at its first
+violation.  At a denominator that serves more than one selection (the
+limit, or a total that recurs), the table keeps the Strong-BPJR and BPJR
+claims of these classes as antichains (:func:`_antichain`), built when
+the second selection is read, and a verdict tests only those.
 
 Every item set, the knapsack's bundles included, weighs the ascending
 left fold of its costs, as ``Instance.weight`` gives it, and a bundle
 fits iff that fold does.  Two exact shortcuts cut the BPJR families'
 work per budget.  A group's share, its knapsack cap and that cap's
 ceiling ``fit_bound(cap)``, and whether it claims level 1 at all, depend
-on its size and the denominator alone, so :func:`_sizes` tabulates them
-once per denominator, and every sweep, bound and up-front refusal reads
-them there; a group table holds the tables of its two latest
-denominators, enough for the limit and one budget's total.  A profile
+on its size and the denominator alone, so :class:`_Sizes` forms them
+once per size and denominator, on first use, and every sweep, bound and
+up-front refusal reads them there; a group table holds those of its two
+latest denominators, enough for the limit and one budget's total.  A profile
 with no voters has no group, and every check of it holds before any
 share is formed.  No bundle that :func:`_max_bundle_over` returns
 passes the ceiling, and ``falls_short`` is monotone in the weight it
@@ -51,8 +55,9 @@ represented weight already covers what the family can ask of it, is not
 expanded, and where no item is owed no group is built.  The bound sorts
 each item's approvers once per selection, so it serves a single
 selection only: verdicts (:func:`evaluate_axioms`, ``certify``,
-``verify-implications``), ``replay_witnesses`` and BPJR's refusal of
-oversized common items read the full sweep, shared among selections.
+``verify-implications``) read the classes of the full sweep, and
+``replay_witnesses`` and BPJR's refusal of oversized common items the
+full sweep itself, shared among selections.
 
 Errors, in this order: an invalid profile raises ``InvalidProfile``; a
 budget that is infeasible, names an unknown item or carries a
@@ -291,11 +296,11 @@ def _selection(inst: Instance, budget: Budget) -> tuple[int, float]:
     return mask_of(budget.selected), budget.total_cost
 
 
-def _sizes(n: int, denom: float) -> tuple[tuple[float, float, float, bool], ...]:
+class _Sizes(dict):
     """What a group of ``k`` of ``n`` voters is owed at the denominator
-    ``denom``, for each ``k`` from 0 to ``n``: ``(share, cap, ceiling,
-    claims)``.  ``share = k * denom / n`` bounds its levels, ``cap =
-    min(share, denom)`` is its BPJR knapsack cap and ``ceiling =
+    ``denom``, as ``sizes[k] = (share, cap, ceiling, claims)``, formed for
+    each ``k`` on first use.  ``share = k * denom / n`` bounds its levels,
+    ``cap = min(share, denom)`` is its BPJR knapsack cap and ``ceiling =
     fit_bound(cap)`` bounds every knapsack weight under that cap.
 
     ``claims`` tells whether the group reaches level 1, that is whether
@@ -304,25 +309,64 @@ def _sizes(n: int, denom: float) -> tuple[tuple[float, float, float, bool], ...]
     common set weighs at least the cheapest cost, which ``Instance`` holds
     within ``TOL`` of 1 (``model.is_unit``, where ``c - 1.0`` is exact), so
     ``W`` never falls short of 1.
+
+    The verdicts keep here, too, the first selection read at this
+    denominator and, per family, the antichain of claims that
+    :meth:`_GroupTable._chain` builds once a second selection is read.
     """
-    out = []
-    for k in range(n + 1):
-        share = k * denom / n
-        cap = min(share, denom)
-        out.append((share, cap, fit_bound(cap), not falls_short(share, 1.0)))
-    return tuple(out)
+
+    def __init__(self, n: int, denom: float) -> None:
+        super().__init__()
+        self.n, self.denom = n, denom
+        self.first: tuple[int, float] | None = None
+        self.chains: dict[str, list[tuple[int, float]]] = {}
+        self._least: dict[float, int] = {}
+
+    def __missing__(self, k: int) -> tuple[float, float, float, bool]:
+        share = k * self.denom / self.n
+        cap = min(share, self.denom)
+        row = self[k] = (share, cap, fit_bound(cap), not falls_short(share, 1.0))
+        return row
+
+    def least(self, amount: float) -> int:
+        """The least size whose share :func:`fits` ``amount``, as
+        :func:`reaches` tests a claim, or ``n + 1``: shares round
+        monotonically in ``k``."""
+        least = self._least.get(amount)
+        if least is None:
+            n = self.n
+            least = self._least[amount] = next((k for k in range(1, n + 1) if fits(amount, self[k][0])), n + 1)
+        return least
+
+
+def _antichain(claims: list[tuple[int, float]]) -> list[tuple[int, float]]:
+    """The claims ``(union, need)`` that no other claim dominates, by
+    decreasing need.  Claim A dominates claim B when ``U_A`` is a subset
+    of ``U_B`` and ``need_A >= need_B``: an ascending fold of positive
+    costs does not fall as items join it, so ``weights[U_A & S] <=
+    weights[U_B & S]`` for every selection ``S``, and B's represented
+    weight below its need puts A's below its own.  Taken by decreasing
+    need, and by size of union among equal needs, a claim can dominate
+    only claims taken after it, so each is tested against the kept ones
+    alone.  Of equal claims the first is kept."""
+    kept: list[tuple[int, float]] = []
+    for union, need in sorted(claims, key=lambda claim: (-claim[1], claim[0].bit_count())):
+        if not any(held & ~union == 0 and held_need >= need for held, held_need in kept):
+            kept.append((union, need))
+    return kept
 
 
 class _GroupTable:
     """Everything the checkers need from ``(inst, profile)`` alone, built
     once per public call and shared by every selection it checks: approver
     masks, memoized subset weights and cheapest item costs, one knapsack
-    cache keyed by (item mask, cap), the :func:`_sizes` tables of the two
-    latest denominators, and on first use the voters' ballot masks, the
-    cohesive groups of :func:`_cohesive_groups` and their largest-size
-    classes.  None of these reads a selection, so any number of reads may
-    interleave.  It keeps no profile and reads a selection as an admitted
-    ``(item mask, total)`` pair (:func:`_selection`).
+    cache keyed by (item mask, cap), the :class:`_Sizes` of the two latest
+    denominators, and on first use the voters' ballot masks, the cohesive
+    groups of :func:`_cohesive_groups` and their largest-size classes.
+    None of these reads a selection, so any number of reads may
+    interleave: a selection only decides when an antichain is built.  It
+    keeps no profile and reads a selection as an admitted ``(item mask,
+    total)`` pair (:func:`_selection`).
     """
 
     def __init__(self, inst: Instance, profile: Profile) -> None:
@@ -333,9 +377,9 @@ class _GroupTable:
         self.cheapest = MaskFold(inst.cost, min, math.inf)
         # heaviest(mask, cap): the knapsack over the items in mask, memoized
         self.heaviest = cache(partial(_max_bundle_over, inst.cost))
-        # sizes(denom): the _sizes table of a denominator, memoized for the
+        # sizes(denom): the _Sizes of a denominator, memoized for the
         # two latest, so that a limit and a total can alternate
-        self.sizes = lru_cache(maxsize=2)(partial(_sizes, self.n))
+        self.sizes = lru_cache(maxsize=2)(partial(_Sizes, self.n))
 
     @cached_property
     def ballots(self) -> list[int]:
@@ -354,20 +398,36 @@ class _GroupTable:
         return _cohesive_groups(self.ballots)
 
     @cached_property
-    def classes(self) -> list[tuple[tuple[int, ...], int, int]]:
-        """The largest-size entry of each (common, union) class.
+    def classes(self) -> list[tuple[int, int, int]]:
+        """The largest size of each (common, union) class, as ``(size,
+        common, union)``, largest first.
 
         At fixed common items and union, every violation test is easier
         to meet for a larger group (its level, cap and threshold rise
         with size), so a class has a violating entry iff its largest
-        entry violates.
+        entry violates.  Whether a group claims level 1 rises with its
+        size too, so a sweep of claims stops at the first class that
+        does not claim.
         """
-        largest: dict[tuple[int, int], tuple[tuple[int, ...], int, int]] = {}
-        for entry in self.groups:
-            held = largest.get(entry[1:])
-            if held is None or len(entry[0]) > len(held[0]):
-                largest[entry[1:]] = entry
-        return list(largest.values())
+        largest: dict[tuple[int, int], int] = {}
+        for voters, common, union in self.groups:
+            largest[common, union] = max(largest.get((common, union), 0), len(voters))
+        return sorted(((k, common, union) for (common, union), k in largest.items()), key=lambda c: -c[0])
+
+    @cached_property
+    def _unit_items(self) -> list[int]:
+        # the items of one normalized unit, which plain BJR owes
+        return [c for c, cost in enumerate(self.inst.cost) if is_unit(cost)]
+
+    @cached_property
+    def _outside(self) -> list[int]:
+        """Per item, the mask of the positions in :attr:`classes` of the
+        classes whose union holds the item outside their common items."""
+        outside = [0] * self.inst.num_items
+        for i, (_, common, union) in enumerate(self.classes):
+            for c in bits(union & ~common):
+                outside[c] |= 1 << i
+        return outside
 
     @cached_property
     def _oversized(self) -> list[int]:
@@ -398,7 +458,7 @@ class _GroupTable:
         shares item ``c`` lies among ``c``'s approvers, so its represented
         weight is at least the ``k``-th smallest ``r`` among them.  Its
         level and cap are at most its share ``k * denom / n``, read off the
-        same :func:`_sizes` table as the sweep's, its room is at most
+        same :class:`_Sizes` as the sweep's, its room is at most
         ``share - r``, and each of its common items costs at least the
         cheapest item.  ``falls_short`` and ``fits`` are monotone, so no
         group sharing ``c`` violates Strong-BPJR unless some such ``r``
@@ -474,13 +534,13 @@ class _GroupTable:
         ``pruned``, the BPJR families read the :meth:`pruned_groups` of this
         selection rather than :attr:`groups`: the same violations, from a
         sweep that serves this selection alone."""
-        self._admit(axiom)
+        self._admit((axiom,))
         # Violations come in increasing voter-tuple order, each holding the
         # smallest tuple of the groups that share its deficit, so keeping the
         # first that beats the best by more than TOL gives a tie to the
         # smaller tuple, as a sweep over every group would.
         best = None
-        for violation in self._violations(selection, axiom, False, pruned):
+        for violation in self._violations(selection, axiom, pruned):
             if best is None or not fits(violation[0], best[0]):
                 best = violation
         method = POLYNOMIAL if axiom.family in _BJR_FAMILIES else BRUTE_FORCE
@@ -498,19 +558,153 @@ class _GroupTable:
         return AxiomReport(axiom, False, witness, method)
 
     def holds(self, selection: tuple[int, float], axiom: AxiomId) -> bool:
-        """The verdict alone: stops at the first violation."""
-        self._admit(axiom)
-        return next(self._violations(selection, axiom, True), None) is None
+        """The verdict alone, from :meth:`_decide`."""
+        return self._decide(selection, (axiom,))[0]
 
     def verdicts(self, selection: tuple[int, float]) -> tuple[bool, ...]:
         """:meth:`holds` for all ten axioms, as a tuple in ``ALL_AXIOMS``
         order, so that a caller reads them by position rather than by
         hashing an ``AxiomId``."""
-        return tuple(self.holds(selection, axiom) for axiom in ALL_AXIOMS)
+        return tuple(self._decide(selection, ALL_AXIOMS))
 
-    def _admit(self, axiom: AxiomId) -> None:
-        _require_axiom(axiom)
-        if axiom.family not in _BJR_FAMILIES and self.n > MAX_EXACT_VOTERS:
+    def _decide(self, selection: tuple[int, float], axioms: Sequence[AxiomId]) -> list[bool]:
+        """The verdicts of ``axioms`` on one selection, in their order: the
+        one verdict routine, which :meth:`holds` and :meth:`verdicts` call
+        (:meth:`_violations` serves reports and witnesses only).  The axioms
+        are admitted, and each BPJR family refused, as :meth:`report` does,
+        so the same errors are raised.
+
+        * The BJR verdicts read one pass over the items: each item's wholly
+          unrepresented approvers are counted, and a verdict fails iff the
+          largest count, over the unit-cost items for plain BJR, claims a
+          unit, since a share rounds monotonically in the group's size.
+        * Strong-BPJR and BPJR read the :meth:`_chain` of their claims at
+          the denominator once it has served another selection: a claim
+          ``(union, need - TOL)`` is violated iff ``weights[union &
+          selected]`` is below it, the float ``falls_short`` compares.  At a
+          denominator's first selection they read the claiming classes
+          (:meth:`_holds_at`), so a table that serves one selection builds
+          no antichain.
+        * Local-BPJR reads one pass over the classes for both variants.  A
+          class whose union meets the selection outside its common items
+          has no strict extension within them; a class whose share does
+          not hold the cheapest item has no room for any, since its room is
+          its share less its represented weight.  The others are tested as
+          the report tests an entry before its knapsack, which only a
+          witness needs.
+
+        Each represented weight is folded once, by the table's
+        :class:`probud._bits.MaskFold`, and read by every verdict.
+        """
+        self._admit(axioms)
+        selected, total = selection
+        n, weights = self.n, self.weights
+        holds = [True] * len(axioms)
+        bjr: list[tuple[int, bool, float]] = []
+        # the (position, _Sizes) of each Local-BPJR verdict
+        local: list[tuple[int, _Sizes]] = []
+        for pos, axiom in enumerate(axioms):
+            denom = self.inst.limit if axiom.variant == "l" else total
+            if denom <= TOL or not n:
+                continue  # no voters, or no group's entitlement reaches one unit
+            family = axiom.family
+            if family in _BJR_FAMILIES:
+                bjr.append((pos, family == "bjr", denom))
+                continue
+            sizes = self.sizes(denom)
+            self._refuse(family, sizes)
+            if sizes.first is None:
+                sizes.first = selection
+            if family == "local-bpjr":
+                local.append((pos, sizes))
+            elif sizes.first == selection:
+                holds[pos] = self._holds_at(sizes, family, selected)
+            else:
+                for union, need in self._chain(sizes, family):
+                    if weights[union & selected] < need:
+                        holds[pos] = False
+                        break
+        if bjr:
+            # the size of each item's wholly unrepresented approvers
+            represented = 0
+            for c in bits(selected):
+                represented |= self.approvers[c]
+            unserved = [(voters & ~represented).bit_count() for voters in self.approvers]
+            most, most_unit = max(unserved), max([unserved[c] for c in self._unit_items], default=0)
+            for pos, plain, denom in bjr:
+                holds[pos] = not reaches(most_unit if plain else most, n, denom, 1.0)
+        if local:
+            # the room share - rep of a class is at most its share, and its
+            # cheapest missing item costs at least the cheapest item: the
+            # classes whose share does not hold that item never violate.  A
+            # class whose union meets the selection outside its common
+            # items has no strict extension within them.
+            cheapest_cost = min(self.inst.cost)
+            least = min(sizes.least(cheapest_cost) for _, sizes in local)
+            barred, classes, cheapest = 0, self.classes, self.cheapest
+            for c in bits(selected):
+                barred |= self._outside[c]
+            for i in bits((1 << len(classes)) - 1 & ~barred):
+                k, common, union = classes[i]
+                if k < least:
+                    break
+                rest = common & ~selected
+                if rest:
+                    rep, lightest = weights[union & selected], cheapest[rest]
+                    for test in local:
+                        if fits(lightest, test[1][k][0] - rep):
+                            holds[test[0]] = False
+                            local = [other for other in local if other is not test]
+                    if not local:
+                        break
+        return holds
+
+    def _holds_at(self, sizes: _Sizes, family: str, selected: int) -> bool:
+        """The Strong-BPJR or BPJR verdict on ``selected`` at the
+        denominator of ``sizes``, from the classes that claim level 1,
+        tested as the report tests an entry."""
+        weights = self.weights
+        for k, common, union in self.classes:
+            share, cap, ceiling, claims = sizes[k]
+            if not claims:
+                break
+            rep = weights[union & selected]
+            if family == "strong-bpjr":
+                # the claimable levels form an interval; test its top
+                if falls_short(rep, share) and falls_short(rep, weights[common]):
+                    return False
+            # no knapsack weight passes the ceiling, nor the common weight
+            elif (falls_short(rep, ceiling) and falls_short(rep, weights[common])
+                  and falls_short(rep, self.heaviest(common, cap)[0])):
+                return False
+        return True
+
+    def _chain(self, sizes: _Sizes, family: str) -> list[tuple[int, float]]:
+        """The :func:`_antichain` of the Strong-BPJR or BPJR claims of the
+        classes at the denominator of ``sizes``, built on first use and kept
+        there.  A class claims where its size claims level 1; its need is
+        its top level ``min(share, weights[common])`` for Strong-BPJR and
+        its knapsack's weight ``heaviest(common, cap)`` for BPJR, stored
+        less ``TOL``.  A report tests the same needs: Strong-BPJR's two
+        ``falls_short`` tests agree with one against their minimum, since
+        rounding is monotone, and BPJR's ceiling only skips knapsacks."""
+        chain = sizes.chains.get(family)
+        if chain is None:
+            weights = self.weights
+            claims = []
+            for k, common, union in self.classes:
+                share, cap, _, claimed = sizes[k]
+                if not claimed:
+                    break
+                need = min(share, weights[common]) if family == "strong-bpjr" else self.heaviest(common, cap)[0]
+                claims.append((union, need - TOL))
+            chain = sizes.chains[family] = _antichain(claims)
+        return chain
+
+    def _admit(self, axioms: Sequence[AxiomId]) -> None:
+        for axiom in axioms:
+            _require_axiom(axiom)
+        if self.n > MAX_EXACT_VOTERS and any(axiom.family not in _BJR_FAMILIES for axiom in axioms):
             raise TooLargeForExact(
                 f"exact subset sweep supports at most {MAX_EXACT_VOTERS} voters, got {self.n}"
             )
@@ -518,8 +712,8 @@ class _GroupTable:
     def _refuse(self, family: str, sizes: tuple) -> None:
         """Raise ``TooLargeForExact`` where a full BPJR-family sweep would
         hand the knapsack too many common items: those of every BPJR group
-        whose size claims level 1 in ``sizes``, the :func:`_sizes` table of
-        the check's denominator, and of every Local-BPJR group.  Called up
+        whose size claims level 1 in ``sizes``, the :class:`_Sizes` of the
+        check's denominator, and of every Local-BPJR group.  Called up
         front, so that a verdict that stops early, or a certified one,
         raises exactly as a full sweep does.  Strong-BPJR runs no
         knapsack, so its groups are not read here, and Local-BPJR, which
@@ -532,17 +726,17 @@ class _GroupTable:
             raise TooLargeForExact(f"common-item set exceeds {MAX_EXACT_BUNDLE_ITEMS} items")
 
     def _violations(
-        self, selection: tuple[int, float], axiom: AxiomId, verdict_only: bool, pruned: bool = False
+        self, selection: tuple[int, float], axiom: AxiomId, pruned: bool = False
     ) -> Iterator[tuple]:
-        """The one source of violations for all ten axioms, as ``(deficit,
-        voters, (level, common, bundle, represented, required))`` with masks
-        for the item sets.  BJR yields one violation, the wholly
+        """The one source of violations for the reports of all ten axioms,
+        as ``(deficit, voters, (level, common, bundle, represented,
+        required))`` with masks for the item sets; verdicts read
+        :meth:`_decide`.  BJR yields one violation, the wholly
         unrepresented approvers of an item that are first by (voter tuple,
         item), before any group is read: every BJR deficit is one unit, so
-        a report keeps the first and a verdict stops at it;
-        the BPJR families yield violating entries in entry order, of
-        :attr:`classes` for a verdict, and for a witness of :attr:`groups`,
-        or with ``pruned`` of the :meth:`pruned_groups` of this selection.
+        a report keeps the first; the BPJR families yield violating entries
+        of :attr:`groups` in entry order, or with ``pruned`` of the
+        :meth:`pruned_groups` of this selection.
         """
         inst, n, weights = self.inst, self.n, self.weights
         family = axiom.family
@@ -571,10 +765,7 @@ class _GroupTable:
 
         sizes = self.sizes(denom)
         self._refuse(family, sizes)
-        if verdict_only:
-            entries = self.classes
-        else:
-            entries = self.pruned_groups(selected, family, denom) if pruned else self.groups
+        entries = self.pruned_groups(selected, family, denom) if pruned else self.groups
         if family == "strong-bpjr":
             # the claimable levels form an interval; test its top, min(share,
             # weights[common]): rounding is monotone, so a weight falls short

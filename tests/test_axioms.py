@@ -1171,6 +1171,91 @@ def test_a_shared_group_table_answers_as_fresh_calls_in_any_budget_order():
     assert returns > 400, returns
 
 
+def _verdict_cases():
+    for seed in range(60):
+        yield f"suite seed {seed}", *suite_instance(seed)
+    for seed in BOUNDARY_SEEDS:
+        yield f"boundary seed {seed}", *boundary_instance(seed)[:2]
+
+
+def _first_verdict_disagreement():
+    """The first feasible budget, on one shared group table per instance
+    fed every budget in shuffled order, where ``verdicts`` or ``holds``
+    disagrees with the checker's report; None if none does.  Returns the
+    number of budgets read as well."""
+    from probud._bits import mask_of
+    from probud.axioms import _GroupTable
+
+    rng = random.Random(2028)
+    budgets_read = 0
+    for where, inst, profile in _verdict_cases():
+        table = _GroupTable(inst, profile)
+        budgets = enumerate_feasible(inst)
+        rng.shuffle(budgets)
+        for budget in budgets:
+            budgets_read += 1
+            selection = (mask_of(budget.selected), budget.total_cost)
+            expected = tuple(check_axiom(inst, profile, budget, axiom).satisfied for axiom in ALL_AXIOMS)
+            got = (table.verdicts(selection), tuple(table.holds(selection, axiom) for axiom in ALL_AXIOMS))
+            if got != (expected, expected):
+                return f"{where} on {sorted(budget.selected)}: {got} against {expected}", budgets_read
+    return None, budgets_read
+
+
+def test_verdicts_of_a_shared_table_are_the_checkers_verdicts():
+    # verdicts and holds read the claim antichains of each denominator from
+    # its second selection on, and the classes before that; on every
+    # feasible budget, in shuffled order, each must be the checker's
+    # verdict, which reads the report's violation stream
+    disagreement, budgets_read = _first_verdict_disagreement()
+    assert disagreement is None, disagreement
+    assert budgets_read > 30_000, budgets_read
+
+
+def _antichain_by(dominates):
+    """An antichain builder for the dominance relation ``dominates(a,
+    b)``, keeping the first of equal claims, whatever order it is fed."""
+    def build(claims):
+        kept = []
+        for claim in claims:
+            if not any(dominates(held, claim) for held in kept):
+                kept = [held for held in kept if not dominates(claim, held)] + [claim]
+        return kept
+    return build
+
+
+def _dominates(a, b):
+    """Claim ``a = (union, need)`` may stand in for claim ``b``."""
+    return a[0] & ~b[0] == 0 and a[1] >= b[1]
+
+
+def test_claim_antichain_keeps_the_claims_no_other_dominates():
+    # on random claims with few items and few needs, so that unions nest
+    # and needs tie, the antichain is the set the definition gives
+    from probud.axioms import _antichain
+
+    rng = random.Random(7)
+    for _ in range(2000):
+        claims = [(rng.randrange(1, 32), rng.choice((0.5, 1.0, 1.5, 2.0))) for _ in range(rng.randint(0, 12))]
+        kept = _antichain(claims)
+        assert len(kept) == len(set(kept))
+        assert set(kept) == set(_antichain_by(_dominates)(claims)), claims
+
+
+@pytest.mark.parametrize("dominates", [
+    lambda a, b: b[0] & ~a[0] == 0 and a[1] >= b[1],
+    lambda a, b: a[0] & ~b[0] == 0 and a[1] <= b[1],
+], ids=["subset-reversed", "need-reversed"])
+def test_a_wrong_claim_dominance_changes_a_verdict(monkeypatch, dominates):
+    # a claim may stand in for another only when its union is inside the
+    # other's and its need is not below it; the verdict test above must
+    # notice either half of that rule turned around
+    from probud import axioms
+
+    monkeypatch.setattr(axioms, "_antichain", _antichain_by(dominates))
+    assert _first_verdict_disagreement()[0] is not None
+
+
 def _read_in_turn(*streams):
     """Each stream's items, read one item of each stream in turn."""
     reads = [[] for _ in streams]
@@ -1188,25 +1273,35 @@ def _read_in_turn(*streams):
 def test_violation_streams_of_one_table_may_interleave():
     # two reads of one table's Strong-BPJR or BPJR violations, each on its
     # own selection, must each yield what a read of a fresh table yields,
-    # in verdict and in report mode, with the limit or two totals shared
+    # with the limit or two totals shared; and verdicts read in turn on a
+    # shared table, where the second selection at a denominator builds its
+    # antichains, must be the checker's verdicts
     from probud._bits import mask_of
     from probud.axioms import _GroupTable
 
     axioms = [a for a in BPJR_AXIOMS if a.family != "local-bpjr"]
-    streams = violations = 0
+    streams = violations = verdicts = held = 0
     for seed in range(40):
         inst, profile = suite_instance(seed)
-        selections = [(mask_of(b.selected), b.total_cost) for b in enumerate_feasible(inst)]
+        budgets = enumerate_feasible(inst)
+        selections = [(mask_of(b.selected), b.total_cost) for b in budgets]
         for axiom in axioms:
-            for verdict_only in (True, False):
-                alone = [list(_GroupTable(inst, profile)._violations(s, axiom, verdict_only)) for s in selections]
-                for i in range(len(selections) - 1):
-                    table = _GroupTable(inst, profile)
-                    both = _read_in_turn(*(table._violations(s, axiom, verdict_only) for s in selections[i:i + 2]))
-                    assert both == alone[i:i + 2], f"seed {seed} {axiom} verdict_only={verdict_only} budget {i}"
-                    streams += 2
-                    violations += len(both[0]) + len(both[1])
+            alone = [list(_GroupTable(inst, profile)._violations(s, axiom)) for s in selections]
+            for i in range(len(selections) - 1):
+                table = _GroupTable(inst, profile)
+                both = _read_in_turn(*(table._violations(s, axiom) for s in selections[i:i + 2]))
+                assert both == alone[i:i + 2], f"seed {seed} {axiom} budget {i}"
+                streams += 2
+                violations += len(both[0]) + len(both[1])
+            satisfied = [check_axiom(inst, profile, b, axiom).satisfied for b in budgets]
+            for i in range(len(selections) - 1):
+                table = _GroupTable(inst, profile)
+                for j in (i, i + 1, i, i + 1):
+                    assert table.holds(selections[j], axiom) == satisfied[j], f"seed {seed} {axiom} budget {j}"
+                    verdicts += 1
+                    held += satisfied[j]
     assert streams > 3000 and violations > 10_000, (streams, violations)
+    assert verdicts == 2 * streams and 0.2 < held / verdicts < 0.8, (verdicts, held)
 
 
 def _denominator_of(share, k, n):
